@@ -88,16 +88,16 @@ void BM_EnumerateMinimalPlans(benchmark::State& state) {
 }
 BENCHMARK(BM_EnumerateMinimalPlans)->Arg(4)->Arg(6)->Arg(8);
 
-void BM_BuildSinglePlan(benchmark::State& state) {
+void BM_CompileSafePlan(benchmark::State& state) {
   int k = static_cast<int>(state.range(0));
   ConjunctiveQuery q = MakeChainQuery(k);
   SchemaKnowledge none = SchemaKnowledge::None(q);
   for (auto _ : state) {
-    auto plan = BuildSinglePlan(q, none);
-    benchmark::DoNotOptimize(plan->get());
+    auto lifted = lift::CompileSafePlan(q, none);
+    benchmark::DoNotOptimize(lifted->plan.get());
   }
 }
-BENCHMARK(BM_BuildSinglePlan)->Arg(4)->Arg(8);
+BENCHMARK(BM_CompileSafePlan)->Arg(4)->Arg(8);
 
 void BM_ExactWmcLadder(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));

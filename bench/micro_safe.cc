@@ -1,33 +1,45 @@
 // Safe-plan router benchmark: the same hierarchical workload compiled and
-// served through the lifted safe-plan fast path vs. the forced-dissociation
-// legacy pipeline (EngineOptions::safe_plan_fast_path = false).
+// served with Opt. 1 on (lift::CompileSafePlan, the single-plan compiler)
+// vs. Opt. 1 off (Algorithm 1: EnumerateMinimalPlans, every minimal plan
+// evaluated separately; PropagationOptions::opt1_single_plan = false).
 //
 // Workload: nested-containment chains
 //   q() :- R1(x1), R2(x1,x2), ..., Rk(x1,...,xk)
 // These are hierarchical (at-sets form a chain under containment), so the
 // lifted compiler resolves every level with the separator rule in one
-// linear walk. The legacy pipeline compiles the *same plan* but discovers
-// each separator by Gosper-enumerating all 2^|evars| candidate cut-sets
-// per level, and additionally walks the dissociation lattice in
-// EnumerateMinimalPlans — so compile cost grows exponentially in k while
-// the lifted cost stays linear. Execution cost is identical by
-// construction (bit-identical plans), which the benchmark asserts.
+// linear walk. Algorithm 1 reaches the *same plan* — a safe query has one
+// minimal plan — but discovers each separator by Gosper-enumerating all
+// 2^|evars| candidate cut-sets per level while walking the dissociation
+// lattice, so its compile cost grows exponentially in k while the lifted
+// cost stays linear. Both routes evaluate that one plan, so execution
+// cost and answers are identical, which the benchmark asserts.
+//
+// Instances: the timings run on random rows over a small domain. The
+// correctness gates run on nested instances where each R_j row extends a
+// random R_{j-1} row by a fresh value, so every chain has an answer and,
+// on every k, P(q) sits strictly inside (0,1) — neither empty nor
+// saturated to 1.0 — and the bit-identity gate compares real scores (the
+// bench fails if that precondition breaks).
 //
 // Measurements (BENCH_micro_safe.json):
-//   - compile_safe_k{4,8,12}     ns per cold Prepare, fast path on
-//   - compile_dissoc_k{4,8,12}   ns per cold Prepare, fast path off
-//   - serve_safe_k12             ns per cold Prepare+Execute, fast path on
-//   - serve_dissoc_k12           ns per cold Prepare+Execute, fast path off
+//   - compile_safe_k{4,8,12}     ns per lifted compile (what a cold
+//                                Prepare with Opt. 1 on pays)
+//   - compile_dissoc_k{4,8,12}   ns per EnumerateMinimalPlans alone (what
+//                                a cold Prepare with Opt. 1 off pays)
+//   - serve_safe_k12             ns per cold Prepare+Execute, Opt. 1 on
+//   - serve_dissoc_k12           ns per cold Prepare+Execute, Opt. 1 off
 //   - compile_speedup_k12        ratio (skipped by compare_bench)
-//   - unsafe_residue_overhead    ns per cold Prepare of a 3-chain (routed
-//                                through the residue path; stays within
-//                                noise of legacy — skipped by compare)
+//   - unsafe_residue_prepare     ns per Opt. 1-on compile of a 3-chain
+//                                (lifted compile hitting the residue plus
+//                                the enumeration the engine still runs)
 //
 // Unconditional acceptance gates:
-//   - both routes return bit-identical rankings on every workload query,
-//   - the safe route reports exact=true / 1 minimal plan on the chains,
-//   - cold end-to-end latency (Prepare+Execute) with the fast path on is
-//     strictly below the forced-dissociation latency at k=12.
+//   - every gate instance has >= 1 answer with a score strictly inside
+//     (0,1),
+//   - both routes return bit-identical rankings on every chain,
+//   - both routes report exact=true / 1 minimal plan on the chains,
+//   - cold end-to-end latency (Prepare+Execute) with Opt. 1 on is
+//     strictly below the Opt. 1-off latency at k=12.
 //
 //   $ ./micro_safe
 #include <cstdio>
@@ -57,8 +69,8 @@ std::string ChainOfContainmentQuery(int k) {
   return text;
 }
 
-/// Tables R1..Rk with `rows` distinct random rows each over a small domain,
-/// so joins produce work without blowing up the answer set.
+/// Timing instance: tables R1..Rk with `rows` random rows each over a
+/// small domain, so joins produce work without blowing up the answer set.
 Database ChainDatabase(int k, size_t rows, uint64_t seed) {
   Rng rng(seed);
   Database db;
@@ -75,9 +87,37 @@ Database ChainDatabase(int k, size_t rows, uint64_t seed) {
   return db;
 }
 
-EngineOptions RouteOptions(bool fast_path) {
+/// Gate instance: tables R1..Rk with `rows` distinct rows each. R1 holds
+/// x1 = 0..rows-1 and every R_j row extends a random R_{j-1} row by its own
+/// row index, so each R_k row completes a chain (the query has an answer
+/// at every k) while most roots reach depth k through few rows (P(q)
+/// stays below 1). The random-domain timing instance is degenerate as a
+/// gate: it saturates to 1.0 at k=4 and has no answer at k=8 and k=12.
+Database NestedChainDatabase(int k, size_t rows, uint64_t seed) {
+  Rng rng(seed);
+  Database db;
+  std::vector<std::vector<Value>> prev;
+  for (int j = 1; j <= k; ++j) {
+    Table t(RelationSchema::AllInt64("R" + std::to_string(j), j));
+    std::vector<std::vector<Value>> cur;
+    cur.reserve(rows);
+    for (size_t i = 0; i < rows; ++i) {
+      std::vector<Value> row;
+      if (!prev.empty()) row = prev[rng.NextBounded(prev.size())];
+      row.push_back(Value::Int64(static_cast<int64_t>(i)));
+      t.AddRow(row, 0.05 + 0.9 * rng.NextDouble());
+      cur.push_back(std::move(row));
+    }
+    if (!db.AddTable(std::move(t)).ok()) std::abort();
+    prev = std::move(cur);
+  }
+  return db;
+}
+
+/// Opt. 1 on: the lifted single-plan compiler. Off: Algorithm 1.
+EngineOptions RouteOptions(bool single_plan) {
   EngineOptions o;
-  o.safe_plan_fast_path = fast_path;
+  o.propagation.opt1_single_plan = single_plan;
   return o;
 }
 
@@ -94,25 +134,21 @@ double LiftedCompileNs(const ConjunctiveQuery& q) {
          1e6;
 }
 
-double LegacyCompileNs(const ConjunctiveQuery& q) {
-  // The legacy Prepare enumerates the minimal-plan lattice (for the plan
-  // count / Min-merge) and then builds the combined single plan.
+double EnumerationCompileNs(const ConjunctiveQuery& q) {
   SchemaKnowledge none = SchemaKnowledge::None(q);
   return TimeMs(
              [&] {
                auto plans = EnumerateMinimalPlans(q, none);
                if (!plans.ok() || plans->size() != 1) std::abort();
-               auto single = BuildSinglePlan(q, none);
-               if (!single.ok()) std::abort();
              },
              20.0, 2000, 3) *
          1e6;
 }
 
-double ColdServeNs(Database& db, const ConjunctiveQuery& q, bool fast_path) {
+double ColdServeNs(Database& db, const ConjunctiveQuery& q, bool single_plan) {
   return TimeMs([&] {
            QueryEngine engine =
-               QueryEngine::Borrow(db, RouteOptions(fast_path));
+               QueryEngine::Borrow(db, RouteOptions(single_plan));
            if (!engine.Run(q).ok()) std::abort();
          }) *
          1e6;
@@ -124,21 +160,32 @@ int main() {
   StringPool pool;
   const size_t rows = static_cast<size_t>(64 * BenchScale());
 
-  // -- Bit-identity + exactness gates across the workload -----------------
+  // -- Non-degeneracy, bit-identity + exactness gates across the workload -
   for (int k : {4, 8, 12}) {
     auto q = ParseQuery(ChainOfContainmentQuery(k), &pool);
     if (!q.ok()) std::abort();
-    Database db = ChainDatabase(k, rows, 1000 + k);
-    QueryEngine fast = QueryEngine::Borrow(db, RouteOptions(true));
-    QueryEngine legacy = QueryEngine::Borrow(db, RouteOptions(false));
-    auto a = fast.Run(*q);
-    auto b = legacy.Run(*q);
+    Database db = NestedChainDatabase(k, rows, 1000 + k);
+    QueryEngine single = QueryEngine::Borrow(db, RouteOptions(true));
+    QueryEngine all_plans = QueryEngine::Borrow(db, RouteOptions(false));
+    auto a = single.Run(*q);
+    auto b = all_plans.Run(*q);
     if (!a.ok() || !b.ok()) {
       std::printf("FAIL: k=%d run failed\n", k);
       return 1;
     }
-    if (!a->exact || a->num_minimal_plans != 1) {
-      std::printf("FAIL: k=%d not routed to an exact safe plan\n", k);
+    bool interior = false;
+    for (const auto& ans : a->answers) {
+      interior = interior || (ans.score > 0.0 && ans.score < 1.0);
+    }
+    if (!interior) {
+      std::printf("FAIL: k=%d instance is degenerate (%zu answers, none "
+                  "with a score strictly inside (0,1))\n",
+                  k, a->answers.size());
+      return 1;
+    }
+    if (!a->exact || a->num_minimal_plans != 1 || !b->exact ||
+        b->num_minimal_plans != 1) {
+      std::printf("FAIL: k=%d not compiled to an exact safe plan\n", k);
       return 1;
     }
     if (a->answers.size() != b->answers.size()) {
@@ -152,8 +199,10 @@ int main() {
         return 1;
       }
     }
+    std::printf("k=%-2d P(q) = %.17g on both routes\n", k,
+                a->answers[0].score);
   }
-  std::printf("bit-identity: safe-routed == forced-dissociation rankings "
+  std::printf("bit-identity: single-plan == all-plans rankings "
               "(k=4,8,12), exact=true, 1 minimal plan\n\n");
 
   // -- Compile cost: lifted linear walk vs Gosper + lattice ---------------
@@ -163,7 +212,7 @@ int main() {
     auto q = ParseQuery(ChainOfContainmentQuery(k), &pool);
     if (!q.ok()) std::abort();
     const double safe_ns = LiftedCompileNs(*q);
-    const double dissoc_ns = LegacyCompileNs(*q);
+    const double dissoc_ns = EnumerationCompileNs(*q);
     if (k == 12) {
       safe12 = safe_ns;
       dissoc12 = dissoc_ns;
@@ -183,16 +232,16 @@ int main() {
   const double serve_dissoc = ColdServeNs(db12, *q12, false);
   BenchJsonRecord("serve_safe_k12", rows, serve_safe);
   BenchJsonRecord("serve_dissoc_k12", rows, serve_dissoc);
-  std::printf("\nend-to-end k=12 cold query: safe-routed %s, "
-              "forced-dissociation %s (%.1fx)\n",
+  std::printf("\nend-to-end k=12 cold query: single plan %s, "
+              "all plans %s (%.1fx)\n",
               FmtMs(serve_safe / 1e6).c_str(),
               FmtMs(serve_dissoc / 1e6).c_str(), serve_dissoc / serve_safe);
 
   // The acceptance gate: exact routing must be a strict latency win on the
   // hierarchical workload, not just a semantics win.
   if (serve_safe >= serve_dissoc) {
-    std::printf("FAIL: safe-routed latency (%.0f ns) not below "
-                "forced-dissociation (%.0f ns)\n",
+    std::printf("FAIL: single-plan latency (%.0f ns) not below "
+                "all-plans latency (%.0f ns)\n",
                 serve_safe, serve_dissoc);
     return 1;
   }
@@ -202,9 +251,8 @@ int main() {
     auto chain3 = ParseQuery("q() :- A(x), B(x,y), C(y)", &pool);
     if (!chain3.ok()) std::abort();
     SchemaKnowledge none = SchemaKnowledge::None(*chain3);
-    // Routed: lifted compile (hits the residue) + the enumeration the
-    // engine still runs for the plan count. Legacy: enumeration + the
-    // duplicate BuildSinglePlan.
+    // Opt. 1 on: lifted compile (hits the residue) + the enumeration the
+    // engine still runs for the plan count. Opt. 1 off: enumeration only.
     const double residue_ns =
         TimeMs(
             [&] {
@@ -215,20 +263,18 @@ int main() {
             },
             20.0, 2000, 3) *
         1e6;
-    const double legacy_ns =
+    const double enum_ns =
         TimeMs(
             [&] {
               auto plans = EnumerateMinimalPlans(*chain3, none);
               if (!plans.ok()) std::abort();
-              auto single = BuildSinglePlan(*chain3, none);
-              if (!single.ok()) std::abort();
             },
             20.0, 2000, 3) *
         1e6;
     BenchJsonRecord("unsafe_residue_prepare", rows, residue_ns);
-    std::printf("unsafe 3-chain cold compile: routed %.0f ns, "
-                "legacy %.0f ns\n",
-                residue_ns, legacy_ns);
+    std::printf("unsafe 3-chain cold compile: opt1 on %.0f ns, "
+                "opt1 off %.0f ns\n",
+                residue_ns, enum_ns);
   }
 
   BenchJsonWrite("micro_safe");

@@ -17,50 +17,12 @@ class MinimalPlanEnumerator {
   Result<std::vector<PlanPtr>> Run() { return Rec(atoms_, q_.HeadMask()); }
 
  private:
-  PlanPtr Leaf(const WorkAtom& a) const {
-    return MakeScan(a.atom_idx, q_.AtomMask(a.atom_idx),
-                    a.vars & ~q_.AtomMask(a.atom_idx));
-  }
-
-  static int CountProbabilistic(const std::vector<WorkAtom>& atoms) {
-    int n = 0;
-    for (const auto& a : atoms) n += a.probabilistic ? 1 : 0;
-    return n;
-  }
-
-  /// Line 1 (plain) / modification 2 (DR): the base case.
-  ///
-  /// With at most one probabilistic relation left, dissociating every
-  /// DETERMINISTIC atom on all missing existential variables is free
-  /// (Lemma 22) and always yields a hierarchical query whose unique safe
-  /// plan is exact. When the probabilistic atom already contains every
-  /// existential variable this degenerates to the paper's single
-  /// join-all-project plan; when it does not, the literal join-all would
-  /// dissociate the probabilistic relation (not exact), so we emit the
-  /// safe plan of the DR-only dissociation instead.
-  Result<PlanPtr> BaseCase(const std::vector<WorkAtom>& atoms,
-                           VarMask head) const {
-    if (atoms.size() == 1) {
-      PlanPtr p = Leaf(atoms[0]);
-      if (p->head != head) p = MakeProject(head, p);
-      return p;
-    }
-    VarMask evars = UnionVars(atoms) & ~head;
-    std::vector<WorkAtom> datoms = atoms;
-    for (auto& a : datoms) {
-      if (!a.probabilistic) a.vars |= evars;
-    }
-    return SafePlanForWorkAtoms(q_, std::move(datoms), head);
-  }
-
   Result<std::vector<PlanPtr>> Rec(const std::vector<WorkAtom>& atoms,
                                    VarMask head) {
     VarMask all = UnionVars(atoms);
     head &= all;
-    const bool stop = use_dr_ ? CountProbabilistic(atoms) <= 1
-                              : atoms.size() == 1;
-    if (stop) {
-      auto base = BaseCase(atoms, head);
+    if (IsBaseCase(atoms, use_dr_)) {
+      auto base = BaseCasePlan(q_, atoms, head);
       if (!base.ok()) return base.status();
       return std::vector<PlanPtr>{*base};
     }
@@ -126,16 +88,43 @@ Dissociation ChaseDissociation(const ConjunctiveQuery& q,
   return d;
 }
 
+std::vector<WorkAtom> WorkAtomsUnderKnowledge(const ConjunctiveQuery& q,
+                                              const SchemaKnowledge& sk,
+                                              const PlanEnumOptions& opts) {
+  if (opts.use_fds && !sk.fds.empty()) {
+    return ApplyDissociation(q, sk, ChaseDissociation(q, sk));
+  }
+  return MakeWorkAtoms(q, sk);
+}
+
+bool IsBaseCase(std::span<const WorkAtom> atoms, bool use_deterministic) {
+  if (!use_deterministic) return atoms.size() <= 1;
+  int n_prob = 0;
+  for (const auto& a : atoms) n_prob += a.probabilistic ? 1 : 0;
+  return n_prob <= 1;
+}
+
+Result<PlanPtr> BaseCasePlan(const ConjunctiveQuery& q,
+                             std::vector<WorkAtom> atoms, VarMask head) {
+  if (atoms.size() == 1) {
+    const WorkAtom& a = atoms[0];
+    PlanPtr p = MakeScan(a.atom_idx, q.AtomMask(a.atom_idx),
+                         a.vars & ~q.AtomMask(a.atom_idx));
+    if (p->head != head) p = MakeProject(head, p);
+    return p;
+  }
+  VarMask evars = UnionVars(atoms) & ~head;
+  for (auto& a : atoms) {
+    if (!a.probabilistic) a.vars |= evars;
+  }
+  return SafePlanForWorkAtoms(q, std::move(atoms), head);
+}
+
 Result<std::vector<PlanPtr>> EnumerateMinimalPlans(
     const ConjunctiveQuery& q, const SchemaKnowledge& sk,
     const PlanEnumOptions& opts) {
-  std::vector<WorkAtom> atoms;
-  if (opts.use_fds && !sk.fds.empty()) {
-    atoms = ApplyDissociation(q, sk, ChaseDissociation(q, sk));
-  } else {
-    atoms = MakeWorkAtoms(q, sk);
-  }
-  MinimalPlanEnumerator e(q, std::move(atoms), opts.use_deterministic);
+  MinimalPlanEnumerator e(q, WorkAtomsUnderKnowledge(q, sk, opts),
+                          opts.use_deterministic);
   return e.Run();
 }
 

@@ -22,7 +22,8 @@ namespace dissodb {
 /// Evaluation strategy toggles (Section 4). All combinations are valid and
 /// produce identical scores; they differ only in runtime.
 struct PropagationOptions {
-  bool opt1_single_plan = true;       ///< Algorithm 2: one min-plan
+  bool opt1_single_plan = true;       ///< Algorithm 2: one min-plan,
+                                      ///< via lift::CompileSafePlan
   bool opt2_reuse_subplans = true;    ///< Algorithm 3: shared views (needs opt1)
   bool opt3_semijoin_reduction = false;  ///< deterministic semi-join reduction
   PlanEnumOptions enum_opts;          ///< DR/FD schema knowledge

@@ -31,11 +31,13 @@ struct CompiledPlans {
   size_t num_minimal_plans = 0;
   /// True iff the query is safe given the schema knowledge (Corollary 28):
   /// the compiled plan's scores are exact probabilities, not upper bounds.
-  /// Set by the lifted analyzer on the fast path and by the minimal-plan
-  /// count (== 1) on the legacy path, so the verdict is route-independent.
+  /// Set by the lifted compiler's verdict (or, at an unsafe residue, a
+  /// single minimal plan) with opt1 on, and by the minimal-plan count
+  /// (== 1) with opt1 off, so the verdict is route-independent.
   bool exact = false;
-  /// Whether the lifted compiler (src/lift/) produced single_plan. When
-  /// additionally `exact`, minimal-plan enumeration was skipped entirely.
+  /// Whether the lifted compiler (src/lift/) produced single_plan — true
+  /// iff opt1_single_plan is on. When additionally `exact`, minimal-plan
+  /// enumeration was skipped entirely.
   bool safe_routed = false;
   /// Lifted compilation only: subproblems that needed dissociation's
   /// Min-over-cuts fallback (0 iff the lifted rules resolved every level).

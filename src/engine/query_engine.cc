@@ -8,7 +8,6 @@
 
 #include "src/anytime/controller.h"
 #include "src/dissociation/minimal_plans.h"
-#include "src/dissociation/single_plan.h"
 #include "src/exec/evaluator.h"
 #include "src/exec/semijoin.h"
 #include "src/lift/safe_plan.h"
@@ -23,15 +22,13 @@ namespace {
 
 /// Cache key: canonical query rendering plus the flags that change the
 /// compiled artifact.
-std::string CacheKey(const ConjunctiveQuery& q, const PropagationOptions& o,
-                     bool safe_plan_fast_path) {
+std::string CacheKey(const ConjunctiveQuery& q, const PropagationOptions& o) {
   std::string key = q.ToString();
   key += '|';
   key += o.opt1_single_plan ? '1' : '0';
   key += o.opt2_reuse_subplans ? '1' : '0';
   key += o.enum_opts.use_deterministic ? '1' : '0';
   key += o.enum_opts.use_fds ? '1' : '0';
-  key += safe_plan_fast_path ? '1' : '0';
   return key;
 }
 
@@ -227,8 +224,7 @@ Result<PreparedQuery> QueryEngine::Prepare(const ConjunctiveQuery& q) {
     impl->canon = std::move(id);
   }
   impl->share_results = !HasUnknownStringConstants(impl->canon.query);
-  impl->cache_key = CacheKey(impl->canon.query, opts_.propagation,
-                             opts_.safe_plan_fast_path);
+  impl->cache_key = CacheKey(impl->canon.query, opts_.propagation);
 
   bool cache_hit = false;
   bool renamed_hit = false;
@@ -270,15 +266,15 @@ Result<std::shared_ptr<const CompiledPlans>> QueryEngine::GetOrCompile(
   if (!sk.ok()) return sk.status();
 
   auto compiled = std::make_shared<CompiledPlans>();
-  if (opts_.safe_plan_fast_path && opts_.propagation.opt1_single_plan) {
-    // Lifted fast path (src/lift/): one recursive pass of the Dalvi–Suciu
-    // rules. A safe query resolves every level by independent join /
-    // independent project and skips both the cut-set scan and the minimal-
-    // plan enumeration — the safe plan is the unique minimal plan and its
-    // score is exact. Unsafe residues fall back to Min-over-cuts inside the
-    // same pass, emitting a plan bit-identical to BuildSinglePlan's; the
-    // enumeration then still runs once to report num_minimal_plans (and can
-    // upgrade the verdict to exact when it finds a single plan).
+  if (opts_.propagation.opt1_single_plan) {
+    // Opt. 1 through the lifted compiler (src/lift/): one recursive pass of
+    // the Dalvi–Suciu rules. A safe query resolves every level by
+    // independent join / independent project and skips both the cut-set
+    // scan and the minimal-plan enumeration — the safe plan is the unique
+    // minimal plan and its score is exact. Unsafe residues fall back to
+    // Min-over-cuts inside the same pass (Algorithm 2); the enumeration
+    // then still runs once to report num_minimal_plans (and can upgrade
+    // the verdict to exact when it finds a single plan).
     lift::LiftOptions lo;
     lo.reuse_common_subplans = opts_.propagation.opt2_reuse_subplans;
     lo.enum_opts = opts_.propagation.enum_opts;
@@ -301,26 +297,15 @@ Result<std::shared_ptr<const CompiledPlans>> QueryEngine::GetOrCompile(
       compiled->exact = plans->size() == 1;
     }
   } else {
+    // Algorithm 1: every minimal plan, evaluated separately. A single
+    // minimal plan means the query is safe given the knowledge
+    // (Corollary 28), so the verdict agrees with the lifted route.
     m_safe_fallback_->Add(1);
-    {
-      auto plans = EnumerateMinimalPlans(q, *sk, opts_.propagation.enum_opts);
-      if (!plans.ok()) return plans.status();
-      compiled->num_minimal_plans = plans->size();
-      if (!opts_.propagation.opt1_single_plan) {
-        compiled->plans = std::move(*plans);
-      }
-    }
-    // A single minimal plan means the query is safe given the knowledge
-    // (Corollary 28): the verdict is route-independent.
-    compiled->exact = compiled->num_minimal_plans == 1;
-    if (opts_.propagation.opt1_single_plan) {
-      SinglePlanOptions sp;
-      sp.reuse_common_subplans = opts_.propagation.opt2_reuse_subplans;
-      sp.enum_opts = opts_.propagation.enum_opts;
-      auto plan = BuildSinglePlan(q, *sk, sp);
-      if (!plan.ok()) return plan.status();
-      compiled->single_plan = std::move(*plan);
-    }
+    auto plans = EnumerateMinimalPlans(q, *sk, opts_.propagation.enum_opts);
+    if (!plans.ok()) return plans.status();
+    compiled->num_minimal_plans = plans->size();
+    compiled->exact = plans->size() == 1;
+    compiled->plans = std::move(*plans);
   }
 
   m_plan_misses_->Add(1);
@@ -375,68 +360,21 @@ Result<QueryResult> QueryEngine::ExecuteInternal(const PreparedQuery& prepared,
   const PreparedQuery::Impl& impl = *prepared.impl_;
   use_result_cache = use_result_cache && impl.share_results;
 
-  // Tracing: per-query opt-in (Bindings::EnableTrace) or engine-wide 1-in-N
-  // sampling. Untraced executions carry a null context, so every
-  // instrumentation site below costs one branch.
   const uint64_t t_start = obs::NowNanos();
-  const bool traced =
-      bindings.trace_requested() ||
-      (opts_.trace_sample_every > 0 &&
-       trace_tick_.fetch_add(1, std::memory_order_relaxed) %
-               opts_.trace_sample_every ==
-           0);
-  obs::TraceContext trace_ctx;
-  obs::TraceContext* trace = traced ? &trace_ctx : nullptr;
-  uint32_t root = 0;
-  if (traced) {
-    root = trace_ctx.BeginSpan("execute " + impl.canon.query.ToString(), 0);
+  RequestSetup req;
+  if (Status st = BeginRequest(impl, bindings, "execute", &req); !st.ok()) {
+    return st;
   }
-
-  // Parameter substitution: the compiled plans only depend on the query's
-  // structure, so one prepared artifact serves every binding; the executed
-  // query carries the bound constants (scans filter on them, and subplan
-  // fingerprints render them, so distinct parameter values never collide
-  // in the result cache).
-  const int np = impl.canon.query.num_params();
-  ConjunctiveQuery substituted;
-  const ConjunctiveQuery* exec_q = &impl.canon.query;
-  bool params_shareable = true;
-  if (np > 0) {
-    auto params = bindings.ParamVector(np);
-    if (!params.ok()) return params.status();
-    // A bound string constant unknown to the pool carries a parse-local
-    // negative code (not stable across queries) — such executions must not
-    // exchange results, exactly like unknown strings written in the text.
-    for (const Value& v : *params) {
-      if (v.type() == ValueType::kString && v.AsStringCode() < 0) {
-        params_shareable = false;
-      }
-    }
-    auto sub = SubstituteParams(impl.canon.query, *params);
-    if (!sub.ok()) return sub.status();
-    substituted = std::move(*sub);
-    exec_q = &substituted;
-  } else if (bindings.num_params_bound() > 0) {
-    return Status::InvalidArgument(
-        "bindings provide parameter values but the query has no placeholders");
-  }
-
-  // Per-atom bindings arrive in the caller's (original) body order; the
-  // canonical body may be a permutation of it (atom-order
-  // canonicalization), so remap indices before touching the catalog.
-  AtomOverrides effective;
-  for (const auto& [idx, ov] : bindings.atom_overrides()) {
-    if (idx < 0 || idx >= exec_q->num_atoms() || ov.table == nullptr) {
-      return Status::InvalidArgument("atom binding index out of range");
-    }
-    effective[impl.canon.atom_orig_to_canon[idx]] = ov;
-  }
+  obs::TraceContext* trace = req.trace;
+  const uint32_t root = req.root;
+  const ConjunctiveQuery* exec_q = req.exec_q;
+  AtomOverrides& effective = req.overrides;
 
   // Pin the state to execute against: every scan, reduction, and
   // result-cache exchange below reads exactly this snapshot.
   const Snapshot snap = pinned != nullptr ? *pinned : db_->snapshot();
   const uint64_t version = snap.version();
-  use_result_cache = use_result_cache && params_shareable;
+  use_result_cache = use_result_cache && req.params_shareable;
 
   // Opt. 3: semi-join-reduce the inputs first. When the bindings are
   // fingerprintable the reduction itself is too — reduction(query text,
@@ -460,7 +398,7 @@ Result<QueryResult> QueryEngine::ExecuteInternal(const PreparedQuery& prepared,
       }
     }
     const bool taggable =
-        impl.share_results && params_shareable && all_tagged;
+        impl.share_results && req.params_shareable && all_tagged;
     std::string rtag;
     SemiJoinStats sj_stats;
     bool sj_computed = false;
@@ -581,23 +519,79 @@ Result<QueryResult> QueryEngine::ExecuteInternal(const PreparedQuery& prepared,
 
   m_queries_->Add(1);
   m_execute_ns_->Record(obs::NowNanos() - t_start);
-  if (traced) {
-    trace_ctx.Annotate(root, "answers",
-                       static_cast<uint64_t>(result.answers.size()));
-    trace_ctx.Annotate(root, "nodes_evaluated",
-                       static_cast<uint64_t>(result.nodes_evaluated));
-    trace_ctx.Annotate(root, "result_cache_hits",
-                       static_cast<uint64_t>(result.result_cache_hits));
-    trace_ctx.Annotate(root, "from_plan_cache",
-                       std::string(result.from_plan_cache ? "yes" : "no"));
-    trace_ctx.Annotate(root, "safe_plan",
-                       std::string(result.exact ? "exact" : "dissociated"));
-    trace_ctx.EndSpan(root);
-    result.trace =
-        std::make_shared<const obs::QueryTrace>(trace_ctx.Finish());
+  if (trace != nullptr) {
+    trace->Annotate(root, "answers",
+                    static_cast<uint64_t>(result.answers.size()));
+    trace->Annotate(root, "nodes_evaluated",
+                    static_cast<uint64_t>(result.nodes_evaluated));
+    trace->Annotate(root, "result_cache_hits",
+                    static_cast<uint64_t>(result.result_cache_hits));
+    trace->Annotate(root, "from_plan_cache",
+                    std::string(result.from_plan_cache ? "yes" : "no"));
+    trace->Annotate(root, "safe_plan",
+                    std::string(result.exact ? "exact" : "dissociated"));
+    trace->EndSpan(root);
+    result.trace = std::make_shared<const obs::QueryTrace>(trace->Finish());
     m_traces_->Add(1);
   }
   return result;
+}
+
+Status QueryEngine::BeginRequest(const PreparedQuery::Impl& impl,
+                                 const Bindings& bindings,
+                                 const char* span_label, RequestSetup* req) {
+  // Tracing: per-query opt-in (Bindings::EnableTrace) or engine-wide 1-in-N
+  // sampling. Untraced executions carry a null context, so every
+  // instrumentation site costs one branch.
+  const bool traced =
+      bindings.trace_requested() ||
+      (opts_.trace_sample_every > 0 &&
+       trace_tick_.fetch_add(1, std::memory_order_relaxed) %
+               opts_.trace_sample_every ==
+           0);
+  if (traced) {
+    req->trace = &req->trace_ctx;
+    req->root = req->trace_ctx.BeginSpan(
+        std::string(span_label) + " " + impl.canon.query.ToString(), 0);
+  }
+
+  // Parameter substitution: the compiled plans only depend on the query's
+  // structure, so one prepared artifact serves every binding; the executed
+  // query carries the bound constants (scans filter on them, and subplan
+  // fingerprints render them, so distinct parameter values never collide
+  // in the result cache).
+  const int np = impl.canon.query.num_params();
+  req->exec_q = &impl.canon.query;
+  if (np > 0) {
+    auto params = bindings.ParamVector(np);
+    if (!params.ok()) return params.status();
+    // A bound string constant unknown to the pool carries a parse-local
+    // negative code (not stable across queries) — such executions must not
+    // exchange results, exactly like unknown strings written in the text.
+    for (const Value& v : *params) {
+      if (v.type() == ValueType::kString && v.AsStringCode() < 0) {
+        req->params_shareable = false;
+      }
+    }
+    auto sub = SubstituteParams(impl.canon.query, *params);
+    if (!sub.ok()) return sub.status();
+    req->substituted = std::move(*sub);
+    req->exec_q = &req->substituted;
+  } else if (bindings.num_params_bound() > 0) {
+    return Status::InvalidArgument(
+        "bindings provide parameter values but the query has no placeholders");
+  }
+
+  // Per-atom bindings arrive in the caller's (original) body order; the
+  // canonical body may be a permutation of it (atom-order
+  // canonicalization), so remap indices before touching the catalog.
+  for (const auto& [idx, ov] : bindings.atom_overrides()) {
+    if (idx < 0 || idx >= req->exec_q->num_atoms() || ov.table == nullptr) {
+      return Status::InvalidArgument("atom binding index out of range");
+    }
+    req->overrides[impl.canon.atom_orig_to_canon[idx]] = ov;
+  }
+  return Status::OK();
 }
 
 Result<AnytimeResult> QueryEngine::RunWithGuarantees(
@@ -609,53 +603,21 @@ Result<AnytimeResult> QueryEngine::RunWithGuarantees(
   const PreparedQuery::Impl& impl = *prepared.impl_;
   const uint64_t t_start = obs::NowNanos();
 
-  const bool traced =
-      bindings.trace_requested() ||
-      (opts_.trace_sample_every > 0 &&
-       trace_tick_.fetch_add(1, std::memory_order_relaxed) %
-               opts_.trace_sample_every ==
-           0);
-  obs::TraceContext trace_ctx;
-  obs::TraceContext* trace = traced ? &trace_ctx : nullptr;
-  uint32_t root = 0;
-  if (traced) {
-    root = trace_ctx.BeginSpan("anytime " + impl.canon.query.ToString(), 0);
-  }
-
-  // Parameter substitution and atom-override remap, exactly as
-  // ExecuteInternal does them.
-  const int np = impl.canon.query.num_params();
-  ConjunctiveQuery substituted;
-  const ConjunctiveQuery* exec_q = &impl.canon.query;
-  if (np > 0) {
-    auto params = bindings.ParamVector(np);
-    if (!params.ok()) return params.status();
-    auto sub = SubstituteParams(impl.canon.query, *params);
-    if (!sub.ok()) return sub.status();
-    substituted = std::move(*sub);
-    exec_q = &substituted;
-  } else if (bindings.num_params_bound() > 0) {
-    return Status::InvalidArgument(
-        "bindings provide parameter values but the query has no placeholders");
-  }
-  AtomOverrides effective;
-  for (const auto& [idx, ov] : bindings.atom_overrides()) {
-    if (idx < 0 || idx >= exec_q->num_atoms() || ov.table == nullptr) {
-      return Status::InvalidArgument("atom binding index out of range");
-    }
-    effective[impl.canon.atom_orig_to_canon[idx]] = ov;
+  RequestSetup req;
+  if (Status st = BeginRequest(impl, bindings, "anytime", &req); !st.ok()) {
+    return st;
   }
 
   AnytimeInput input;
   input.snap = db_->snapshot();
   input.db = db_.get();
-  input.query = exec_q;
+  input.query = req.exec_q;
   input.compiled = impl.compiled.get();
-  input.overrides = std::move(effective);
+  input.overrides = std::move(req.overrides);
   input.var_map = impl.canon.identity ? nullptr : &impl.canon.canon_to_orig;
   input.scheduler = EnsureScheduler();
-  input.trace = trace;
-  input.trace_parent = root;
+  input.trace = req.trace;
+  input.trace_parent = req.root;
 
   auto run = RunAnytime(input, spec);
   if (!run.ok()) return run.status();
@@ -709,25 +671,25 @@ Result<AnytimeResult> QueryEngine::RunWithGuarantees(
   m_anytime_rounds_per_query_->Record(result.refine_rounds);
   m_anytime_run_ns_->Record(obs::NowNanos() - t_start);
 
-  if (traced) {
+  if (obs::TraceContext* trace = req.trace; trace != nullptr) {
     // The escalation rung this execution ended on: bounds -> refine ->
     // certified (exact counts as certified — every guarantee holds).
     const char* rung =
         result.verdict != AnytimeVerdict::kBoundsOnly
             ? "certified"
             : (result.refine_rounds > 0 ? "refine" : "bounds");
-    trace_ctx.Annotate(root, "anytime", std::string(rung));
-    trace_ctx.Annotate(root, "verdict",
-                       std::string(AnytimeVerdictName(result.verdict)));
-    trace_ctx.Annotate(root, "answers",
-                       static_cast<uint64_t>(result.answers.size()));
-    trace_ctx.Annotate(root, "refine_rounds",
-                       static_cast<uint64_t>(result.refine_rounds));
-    trace_ctx.Annotate(root, "refined_answers",
-                       static_cast<uint64_t>(result.refined_answers));
-    trace_ctx.EndSpan(root);
+    trace->Annotate(req.root, "anytime", std::string(rung));
+    trace->Annotate(req.root, "verdict",
+                    std::string(AnytimeVerdictName(result.verdict)));
+    trace->Annotate(req.root, "answers",
+                    static_cast<uint64_t>(result.answers.size()));
+    trace->Annotate(req.root, "refine_rounds",
+                    static_cast<uint64_t>(result.refine_rounds));
+    trace->Annotate(req.root, "refined_answers",
+                    static_cast<uint64_t>(result.refined_answers));
+    trace->EndSpan(req.root);
     result.base.trace =
-        std::make_shared<const obs::QueryTrace>(trace_ctx.Finish());
+        std::make_shared<const obs::QueryTrace>(trace->Finish());
     m_traces_->Add(1);
   }
   return result;

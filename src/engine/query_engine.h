@@ -59,6 +59,7 @@
 #include "src/dissociation/propagation.h"
 #include "src/engine/bindings.h"
 #include "src/engine/prepared_query.h"
+#include "src/exec/evaluator.h"
 #include "src/exec/operators.h"
 #include "src/exec/ranking.h"
 #include "src/exec/semijoin.h"
@@ -97,16 +98,6 @@ struct EngineOptions {
   /// Max entries rolled forward per commit, hottest (most recently used)
   /// first; the rest fall to the sweep.
   size_t delta_maintain_limit = 64;
-  /// Route Prepare through the lifted safe-plan compiler (src/lift/): the
-  /// Dalvi–Suciu rules (independent join, independent project, base atom)
-  /// compile hierarchical queries — and hierarchical subqueries of unsafe
-  /// ones — directly, reserving cut-set enumeration for genuinely unsafe
-  /// residues. Safe queries skip minimal-plan enumeration entirely and
-  /// their results are flagged exact. Emitted plans are bit-identical to
-  /// the legacy pipeline's on every query, so scores, plan fingerprints,
-  /// and caches are unaffected; off = legacy compilation (differential
-  /// mode for tests and benches).
-  bool safe_plan_fast_path = true;
   /// Canonicalize variable ids at Prepare time so isomorphic queries share
   /// plans and cached results. Off = legacy behavior (plans compiled in
   /// the caller's variable space); used by differential tests and the
@@ -173,8 +164,8 @@ struct EngineStats {
   /// for the residues; scores are upper bounds unless enumeration still
   /// finds a single minimal plan).
   size_t safe_plan_unsafe_residue = 0;
-  /// Compiles that bypassed the lifted compiler (fast path disabled or
-  /// opt1_single_plan off).
+  /// Compiles with opt1_single_plan off: Algorithm 1's minimal plans,
+  /// evaluated separately, instead of the lifted compiler's single plan.
   size_t safe_plan_fallback = 0;
 };
 
@@ -365,6 +356,34 @@ class QueryEngine {
   Result<std::shared_ptr<const CompiledPlans>> GetOrCompile(
       const ConjunctiveQuery& q, const std::string& key,
       const std::string& original_text, bool* cache_hit, bool* renamed_hit);
+
+  /// Request state every execution starts from. Lives on the executing
+  /// frame (it points into itself), hence neither copyable nor movable.
+  struct RequestSetup {
+    RequestSetup() = default;
+    RequestSetup(const RequestSetup&) = delete;
+    RequestSetup& operator=(const RequestSetup&) = delete;
+
+    obs::TraceContext trace_ctx;
+    obs::TraceContext* trace = nullptr;  ///< &trace_ctx iff traced
+    uint32_t root = 0;                   ///< root span (traced only)
+    ConjunctiveQuery substituted;
+    /// The executed query: the canonical one with parameters bound.
+    const ConjunctiveQuery* exec_q = nullptr;
+    /// False when a bound string parameter is unknown to the pool (its
+    /// parse-local code is not stable across queries).
+    bool params_shareable = true;
+    /// Per-atom bindings keyed by canonical atom index.
+    AtomOverrides overrides;
+  };
+
+  /// Shared request setup of ExecuteInternal and RunWithGuarantees: trace
+  /// sampling (opening a root span "<span_label> <query>"), parameter
+  /// substitution, and the remap of per-atom bindings from the caller's
+  /// body order to the canonical one.
+  Status BeginRequest(const PreparedQuery::Impl& impl,
+                      const Bindings& bindings, const char* span_label,
+                      RequestSetup* req);
 
   /// Shared by Execute, Submit tasks, and the legacy wrappers. `scheduler`
   /// enables the morsel-parallel operator paths (nullptr = sequential) and

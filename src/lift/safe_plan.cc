@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "src/common/hash.h"
-#include "src/dissociation/dissociation.h"
 #include "src/query/cuts.h"
 
 namespace dissodb {
@@ -28,22 +27,10 @@ struct MemoKeyHash {
   }
 };
 
-/// The separator rule's side condition: `sep` is the unique minimal
-/// (p-)cut-set. Every (p-)cut-set contains all of `sep` — while one of its
-/// variables remains, all (probabilistic) atoms stay connected through it —
-/// so it suffices that removing `sep` itself disconnects the atoms.
-bool SeparatorIsTheCut(std::span<const WorkAtom> atoms, VarMask evars,
-                       VarMask sep, bool use_dr) {
-  if (sep == 0) return false;
-  if (use_dr) return CountProbComponents(atoms, evars & ~sep) >= 2;
-  return ConnectedComponents(atoms, evars & ~sep).size() >= 2;
-}
-
-/// Mirrors SinglePlanBuilder (src/dissociation/single_plan.cc) with the
-/// lifted separator rule short-circuiting the cut-set enumeration wherever
-/// it provably yields the same (single-cut) result. Decisions, recursion
-/// order, and memoization granularity are kept identical so the emitted
-/// plan is bit-for-bit the legacy one.
+/// Algorithm 2's recursion (connected components, then Min over minimal
+/// cut-sets) with the lifted separator rule short-circuiting the cut-set
+/// enumeration wherever the cuts module proves it yields the single cut
+/// {sep} — so the emitted plan is the Algorithm-2 min-plan either way.
 class LiftCompiler {
  public:
   LiftCompiler(const ConjunctiveQuery& q, std::vector<WorkAtom> atoms,
@@ -64,12 +51,6 @@ class LiftCompiler {
   }
 
  private:
-  PlanPtr Leaf(int atom_idx) const {
-    const WorkAtom& a = atoms_[atom_idx];
-    return MakeScan(a.atom_idx, q_.AtomMask(a.atom_idx),
-                    a.vars & ~q_.AtomMask(a.atom_idx));
-  }
-
   Result<PlanPtr> Rec(const std::vector<int>& idxs, VarMask head) {
     std::vector<WorkAtom> atoms;
     for (int i : idxs) atoms.push_back(atoms_[i]);
@@ -84,26 +65,12 @@ class LiftCompiler {
       if (it != memo_.end()) return it->second;
     }
 
-    int n_prob = 0;
-    for (const auto& a : atoms) n_prob += a.probabilistic ? 1 : 0;
-    const bool stop = use_dr_ ? n_prob <= 1 : atoms.size() == 1;
-
     PlanPtr result;
-    if (stop) {
+    if (IsBaseCase(atoms, use_dr_)) {
       // Base-atom rule (deterministic tails dissociate for free, Lemma 22).
-      if (idxs.size() == 1) {
-        result = Leaf(idxs[0]);
-        if (result->head != head) result = MakeProject(head, result);
-      } else {
-        VarMask evars = all & ~head;
-        std::vector<WorkAtom> datoms = atoms;
-        for (auto& a : datoms) {
-          if (!a.probabilistic) a.vars |= evars;
-        }
-        auto base = SafePlanForWorkAtoms(q_, std::move(datoms), head);
-        if (!base.ok()) return base.status();
-        result = *base;
-      }
+      auto base = BaseCasePlan(q_, std::move(atoms), head);
+      if (!base.ok()) return base.status();
+      result = *base;
     } else {
       VarMask evars = all & ~head;
       auto comps = ConnectedComponents(atoms, evars);
@@ -133,9 +100,9 @@ class LiftCompiler {
           result = *child;
           if (result->head != head) result = MakeProject(head, result);
         } else {
-          // Unsafe residue: dissociation's Min over minimal cut-sets,
-          // exactly as the legacy builder. Nested hierarchical subqueries
-          // still resolve by the lifted rules on the way down.
+          // Unsafe residue: dissociation's Min over minimal cut-sets.
+          // Nested hierarchical subqueries still resolve by the lifted
+          // rules on the way down.
           ++unsafe_residues_;
           auto cuts = use_dr_ ? MinPCuts(atoms, evars) : MinCuts(atoms, evars);
           if (!cuts.ok()) return cuts.status();
@@ -167,15 +134,6 @@ class LiftCompiler {
   std::unordered_map<MemoKey, PlanPtr, MemoKeyHash> memo_;
 };
 
-std::vector<WorkAtom> AtomsUnderKnowledge(const ConjunctiveQuery& q,
-                                          const SchemaKnowledge& sk,
-                                          const PlanEnumOptions& opts) {
-  if (opts.use_fds && !sk.fds.empty()) {
-    return ApplyDissociation(q, sk, ChaseDissociation(q, sk));
-  }
-  return MakeWorkAtoms(q, sk);
-}
-
 /// Plan-free analysis recursion: same rules, but a stuck subproblem stops
 /// the walk (no descent into cut branches — analysis never enumerates).
 void AnalyzeRec(std::vector<WorkAtom> atoms, VarMask head, bool use_dr,
@@ -183,9 +141,7 @@ void AnalyzeRec(std::vector<WorkAtom> atoms, VarMask head, bool use_dr,
   VarMask all = UnionVars(atoms);
   head &= all;
 
-  int n_prob = 0;
-  for (const auto& a : atoms) n_prob += a.probabilistic ? 1 : 0;
-  if (use_dr ? n_prob <= 1 : atoms.size() <= 1) return;
+  if (IsBaseCase(atoms, use_dr)) return;
 
   VarMask evars = all & ~head;
   auto comps = ConnectedComponents(atoms, evars);
@@ -212,7 +168,7 @@ void AnalyzeRec(std::vector<WorkAtom> atoms, VarMask head, bool use_dr,
 Result<LiftedPlan> CompileSafePlan(const ConjunctiveQuery& q,
                                    const SchemaKnowledge& sk,
                                    const LiftOptions& opts) {
-  LiftCompiler c(q, AtomsUnderKnowledge(q, sk, opts.enum_opts),
+  LiftCompiler c(q, WorkAtomsUnderKnowledge(q, sk, opts.enum_opts),
                  opts.enum_opts.use_deterministic, opts.reuse_common_subplans);
   return c.Run();
 }
@@ -221,7 +177,7 @@ SafetyAnalysis AnalyzeSafety(const ConjunctiveQuery& q,
                              const SchemaKnowledge& sk,
                              const PlanEnumOptions& opts) {
   SafetyAnalysis out;
-  AnalyzeRec(AtomsUnderKnowledge(q, sk, opts), q.HeadMask(),
+  AnalyzeRec(WorkAtomsUnderKnowledge(q, sk, opts), q.HeadMask(),
              opts.use_deterministic, &out.unsafe_residues);
   out.safe = out.unsafe_residues == 0;
   return out;

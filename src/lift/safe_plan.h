@@ -10,16 +10,18 @@
 // reach (hierarchical subqueries compile exactly), and only the genuinely
 // unsafe residues fall back to dissociation's min-over-minimal-cuts.
 //
-// The residue fallback mirrors src/dissociation/single_plan.cc decision
-// for decision, and the separator rule only short-circuits where the
-// separator set provably *is* the unique minimal (p-)cut — every cut-set
-// must contain the full separator set (a remaining separator variable
-// keeps all (probabilistic) atoms connected), so if removing it
-// disconnects the atoms, {separator set} is the one minimal cut and
-// Min-over-cuts collapses to a plain projection. Consequence: the emitted
-// plan is bit-identical to BuildSinglePlan's on every query; what changes
-// is compile cost (safe levels skip the Gosper subset scan entirely) and
-// the exactness verdict the engine can route on.
+// This is the engine's one single-plan compiler: with no lifted rule
+// applicable it is exactly the paper's Opt. 1 (Algorithm 2) — connected
+// components join, a connected level takes Min over one projection per
+// minimal (p-)cut-set — and Opt. 2 memoization turns shared subproblems
+// into DAG nodes (Algorithm 3's views). The separator rule only
+// short-circuits where src/query/cuts.h's SeparatorIsTheCut proves the
+// separator set is the unique minimal (p-)cut, where Min over the cuts is
+// a single projection; the emitted plan is therefore the Algorithm-2
+// min-plan on every query (tests/cuts_test.cc checks that invariant
+// against the cut enumeration), and the lifted rules change only compile
+// cost (safe levels skip the Gosper subset scan entirely) and the
+// exactness verdict the engine routes on (Corollary 28).
 #ifndef DISSODB_LIFT_SAFE_PLAN_H_
 #define DISSODB_LIFT_SAFE_PLAN_H_
 
@@ -33,8 +35,9 @@ namespace dissodb {
 namespace lift {
 
 struct LiftOptions {
-  /// Memoize subproblems by (atom set, head) so shared subplans come out as
-  /// one DAG node (Opt. 2); matches SinglePlanOptions::reuse_common_subplans.
+  /// Opt. 2: memoize subproblems by (atom set, head) so shared subplans come
+  /// out as one DAG node, evaluated once (the paper's views). Off, the plan
+  /// is a tree (Figure 4b); on, a DAG (Figure 4c).
   bool reuse_common_subplans = true;
   /// Which schema knowledge the rules may exploit (Section 3.3).
   PlanEnumOptions enum_opts;
@@ -51,13 +54,12 @@ struct LiftedPlan {
   /// fell back to Min over minimal cut-sets (dissociation upper bounds).
   size_t unsafe_residues = 0;
   /// Recursion levels resolved by the separator rule (each one skips a
-  /// full cut-set enumeration the legacy builder would have run).
+  /// full cut-set enumeration).
   size_t separator_shortcuts = 0;
 };
 
 /// Compiles `q` with the lifted rules, falling back to dissociation only at
-/// unsafe residues. The emitted plan is structurally identical to
-/// BuildSinglePlan(q, sk, ...) under matching options.
+/// unsafe residues. The emitted plan is Algorithm 2's single min-plan.
 Result<LiftedPlan> CompileSafePlan(const ConjunctiveQuery& q,
                                    const SchemaKnowledge& sk,
                                    const LiftOptions& opts = {});

@@ -97,4 +97,10 @@ Result<std::vector<VarMask>> MinPCuts(std::span<const WorkAtom> atoms,
   });
 }
 
+bool SeparatorIsTheCut(std::span<const WorkAtom> atoms, VarMask evars,
+                       VarMask sep, bool probabilistic_only) {
+  return sep != 0 &&
+         ComponentCount(atoms, evars, sep, probabilistic_only) >= 2;
+}
+
 }  // namespace dissodb

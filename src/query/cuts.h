@@ -33,6 +33,16 @@ Result<std::vector<VarMask>> MinCuts(std::span<const WorkAtom> atoms,
 Result<std::vector<VarMask>> MinPCuts(std::span<const WorkAtom> atoms,
                                       VarMask evars);
 
+/// The separator rule's side condition (independent project): for atoms
+/// connected through `evars` and their separator set `sep` (SeparatorVars,
+/// or ProbSeparatorVars when `probabilistic_only`), true iff `sep` is
+/// non-empty and itself a (p-)cut-set. Every (p-)cut-set contains all of
+/// `sep` — while one of its variables remains, all (probabilistic) atoms
+/// stay connected through it — so then {sep} is exactly what MinCuts
+/// (MinPCuts) returns, without enumerating a single candidate.
+bool SeparatorIsTheCut(std::span<const WorkAtom> atoms, VarMask evars,
+                       VarMask sep, bool probabilistic_only);
+
 }  // namespace dissodb
 
 #endif  // DISSODB_QUERY_CUTS_H_

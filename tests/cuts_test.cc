@@ -1,8 +1,10 @@
-// Unit tests for cut-set enumeration (MinCuts / MinPCuts / all cut-sets).
+// Unit tests for cut-set enumeration (MinCuts / MinPCuts / all cut-sets)
+// and the separator rule's side condition (SeparatorIsTheCut).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "src/common/rng.h"
 #include "src/query/cuts.h"
 #include "src/workload/synthetic.h"
 #include "tests/test_util.h"
@@ -163,6 +165,69 @@ TEST(MinPCutsTest, CanBeLargerThanAMinCut) {
   auto pcuts = MinPCuts(atoms, q.EVarMask());
   ASSERT_TRUE(pcuts.ok());
   EXPECT_EQ(pcuts->size(), 2u);
+}
+
+TEST(SeparatorCutTest, SeparatorRuleFiresIffCutsAreExactlyTheSeparator) {
+  // The invariant behind the lifted compiler emitting Algorithm 2's plan:
+  // on a connected level, the separator rule fires exactly when MinCuts
+  // (MinPCuts under the deterministic refinement) returns the single cut
+  // {sep}. MakeMin returns its only child, so a fired rule and a one-cut
+  // Min emit the same node, and plan identity follows level by level.
+  Rng rng(20151031);
+  int sets = 0;
+  int fired[2] = {0, 0};
+  int stuck[2] = {0, 0};
+  while (sets < 400) {
+    const int nvars = static_cast<int>(rng.NextInt(2, 6));
+    const int natoms = static_cast<int>(rng.NextInt(2, 5));
+    // A shared core makes separators (and so fired rules) common.
+    VarMask core = 0;
+    if (rng.NextBernoulli(0.6)) {
+      core = MaskOf(static_cast<VarId>(rng.NextInt(0, nvars - 1)));
+    }
+    std::vector<WorkAtom> atoms;
+    for (int i = 0; i < natoms; ++i) {
+      VarMask vars = core;
+      for (int v = 0; v < nvars; ++v) {
+        if (rng.NextBernoulli(0.4)) vars |= MaskOf(v);
+      }
+      if (vars == 0) {
+        vars = MaskOf(static_cast<VarId>(rng.NextInt(0, nvars - 1)));
+      }
+      atoms.push_back(WorkAtom{i, vars, !rng.NextBernoulli(0.3)});
+    }
+    VarMask head = 0;
+    for (int v = 0; v < nvars; ++v) {
+      if (rng.NextBernoulli(0.15)) head |= MaskOf(v);
+    }
+    const VarMask evars = UnionVars(atoms) & ~head;
+    // The rule is only consulted on a connected level.
+    if (!IsConnected(atoms, evars)) continue;
+    ++sets;
+    for (bool use_dr : {false, true}) {
+      const VarMask sep = use_dr ? ProbSeparatorVars(atoms, evars)
+                                 : SeparatorVars(atoms, evars);
+      const bool fires = SeparatorIsTheCut(atoms, evars, sep, use_dr);
+      auto cuts = use_dr ? MinPCuts(atoms, evars) : MinCuts(atoms, evars);
+      ASSERT_TRUE(cuts.ok());
+      if (fires) {
+        ++fired[use_dr];
+        EXPECT_EQ(*cuts, std::vector<VarMask>{sep})
+            << "set " << sets << " dr=" << use_dr;
+      } else {
+        ++stuck[use_dr];
+        if (sep != 0) {
+          EXPECT_NE(*cuts, std::vector<VarMask>{sep})
+              << "set " << sets << " dr=" << use_dr;
+        }
+      }
+    }
+  }
+  // Both outcomes, with and without the refinement, must be exercised.
+  for (int dr : {0, 1}) {
+    EXPECT_GE(fired[dr], 50) << "dr=" << dr;
+    EXPECT_GE(stuck[dr], 50) << "dr=" << dr;
+  }
 }
 
 TEST(CutsGuardTest, TooManyVariablesRejected) {

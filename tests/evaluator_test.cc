@@ -5,10 +5,10 @@
 #include "src/dissociation/dissociation.h"
 #include "src/dissociation/minimal_plans.h"
 #include "src/dissociation/propagation.h"
-#include "src/dissociation/single_plan.h"
 #include "src/exec/deterministic.h"
 #include "src/exec/evaluator.h"
 #include "src/infer/query_inference.h"
+#include "src/lift/safe_plan.h"
 #include "tests/test_util.h"
 
 namespace dissodb {
@@ -131,15 +131,15 @@ TEST(EvaluatorTest, CacheSharesDagNodes) {
   AddTable(&db, "R", 1, {{{1}, 0.5}});
   AddTable(&db, "S", 2, {{{1, 2}, 0.5}});
   AddTable(&db, "T", 1, {{{2}, 0.5}});
-  SinglePlanOptions opts;
+  lift::LiftOptions opts;
   opts.reuse_common_subplans = true;
   auto sk = SchemaKnowledge::None(q);
-  auto plan = BuildSinglePlan(q, sk, opts);
-  ASSERT_TRUE(plan.ok());
+  auto lifted = lift::CompileSafePlan(q, sk, opts);
+  ASSERT_TRUE(lifted.ok());
   PlanEvaluator ev(db, q);
-  auto rel = ev.Evaluate(*plan);
+  auto rel = ev.Evaluate(lifted->plan);
   ASSERT_TRUE(rel.ok());
-  PlanSize sz = MeasurePlan(*plan);
+  PlanSize sz = MeasurePlan(lifted->plan);
   EXPECT_EQ(ev.nodes_evaluated(), sz.dag_nodes);
   EXPECT_LE(sz.dag_nodes, sz.tree_nodes);
 }

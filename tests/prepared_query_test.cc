@@ -11,8 +11,8 @@
 #include <string>
 #include <vector>
 
-#include "src/dissociation/single_plan.h"
 #include "src/engine/query_engine.h"
+#include "src/lift/safe_plan.h"
 #include "src/query/canonicalize.h"
 #include "src/workload/random_instance.h"
 #include "src/workload/synthetic.h"
@@ -118,12 +118,14 @@ TEST(PreparedQueryTest, RenamingInvarianceOfPlanFingerprints) {
 
     // The compiled single plans fingerprint identically, so isomorphic
     // subplans key into the same ResultCache entries.
-    SinglePlanOptions sp;
-    auto p1 = BuildSinglePlan(c1->query, SchemaKnowledge::None(c1->query), sp);
-    auto p2 = BuildSinglePlan(c2->query, SchemaKnowledge::None(c2->query), sp);
+    auto p1 =
+        lift::CompileSafePlan(c1->query, SchemaKnowledge::None(c1->query));
+    auto p2 =
+        lift::CompileSafePlan(c2->query, SchemaKnowledge::None(c2->query));
     ASSERT_EQ(p1.ok(), p2.ok()) << "seed " << seed;
     if (!p1.ok()) continue;
-    EXPECT_EQ(PlanFingerprint(*p1, c1->query), PlanFingerprint(*p2, c2->query))
+    EXPECT_EQ(PlanFingerprint(p1->plan, c1->query),
+              PlanFingerprint(p2->plan, c2->query))
         << "seed " << seed;
   }
 }
