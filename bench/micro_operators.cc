@@ -185,8 +185,9 @@ double MeasureSemiJoinMs(size_t n) {
   // build sides clear the Bloom threshold, so this times the filtered path.
   Database* db = ChainDb(3, n);
   ConjunctiveQuery q = MakeChainQuery(3);
+  const Snapshot snap = db->snapshot();
   return TimeMs([&] {
-    auto reduced = SemiJoinReduce(*db, q);
+    auto reduced = SemiJoinReduce(snap, q);
     benchmark::DoNotOptimize(reduced->size());
   });
 }

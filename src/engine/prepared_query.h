@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "src/exec/semijoin.h"
 #include "src/plan/plan.h"
 #include "src/query/canonicalize.h"
 #include "src/query/cq.h"
@@ -42,6 +43,9 @@ struct CompiledPlans {
   /// Lifted compilation only: subproblems that needed dissociation's
   /// Min-over-cuts fallback (0 iff the lifted rules resolved every level).
   size_t unsafe_residues = 0;
+  /// Opt. 3's semi-join program (GYO join forest, or the sharing pairs of
+  /// a cyclic query); compiled only when Opt. 3 is on.
+  JoinTree join_tree;
 };
 
 /// \brief Value-type handle over an immutable prepared query. Copy freely;

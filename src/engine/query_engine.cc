@@ -4,6 +4,7 @@
 #include <chrono>
 #include <functional>
 #include <mutex>
+#include <numeric>
 #include <utility>
 
 #include "src/anytime/controller.h"
@@ -47,6 +48,26 @@ bool HasUnknownStringConstants(const ConjunctiveQuery& q) {
   return false;
 }
 
+/// Opt. 3 reduces an uncached selection only when its estimated surviving
+/// join fraction is at most this. On the TPC-H selections of Setup 1 the
+/// reduction wins or ties at a fraction of 0.25 and loses at 0.5.
+constexpr double kReduceMaxJoinFraction = 1.0 / 3;
+
+/// Estimated fraction of the full join that survives the per-atom
+/// selections: the product over selected atoms of |selection| / |base
+/// table|, each factor capped at 1. Reads only row counts, O(#atoms).
+double EstimateJoinFraction(const Snapshot& snap, const ConjunctiveQuery& q,
+                            const AtomOverrides& overrides) {
+  double fraction = 1.0;
+  for (const auto& [idx, ov] : overrides) {
+    auto base = snap.GetTable(q.atom(idx).relation);
+    if (!base.ok() || (*base)->NumRows() == 0) continue;
+    fraction *= std::min(1.0, static_cast<double>(ov.table->NumRows()) /
+                                  static_cast<double>((*base)->NumRows()));
+  }
+  return fraction;
+}
+
 }  // namespace
 
 QueryEngine::QueryEngine(std::shared_ptr<const Database> db,
@@ -72,6 +93,11 @@ QueryEngine::QueryEngine(std::shared_ptr<const Database> db,
       m_bloom_built_(metrics_.counter("semijoin.bloom_filters_built")),
       m_bloom_skipped_(metrics_.counter("semijoin.bloom_probes_skipped")),
       m_semijoin_reductions_(metrics_.counter("semijoin.reductions")),
+      m_semijoin_skipped_exact_(metrics_.counter("semijoin.skipped_exact")),
+      m_semijoin_skipped_estimate_(
+          metrics_.counter("semijoin.skipped_estimate")),
+      m_semijoin_rows_before_(metrics_.counter("semijoin.rows_before")),
+      m_semijoin_rows_after_(metrics_.counter("semijoin.rows_after")),
       m_delta_maintained_(
           metrics_.counter("engine.result_cache.delta_maintained")),
       m_swept_(metrics_.counter("engine.result_cache.swept")),
@@ -266,6 +292,9 @@ Result<std::shared_ptr<const CompiledPlans>> QueryEngine::GetOrCompile(
   if (!sk.ok()) return sk.status();
 
   auto compiled = std::make_shared<CompiledPlans>();
+  if (opts_.propagation.opt3_semijoin_reduction) {
+    compiled->join_tree = CompileJoinTree(q);
+  }
   if (opts_.propagation.opt1_single_plan) {
     // Opt. 1 through the lifted compiler (src/lift/): one recursive pass of
     // the Dalvi–Suciu rules. A safe query resolves every level by
@@ -376,14 +405,14 @@ Result<QueryResult> QueryEngine::ExecuteInternal(const PreparedQuery& prepared,
   const uint64_t version = snap.version();
   use_result_cache = use_result_cache && req.params_shareable;
 
-  // Opt. 3: semi-join-reduce the inputs first. When the bindings are
-  // fingerprintable the reduction itself is too — reduction(query text,
-  // snapshot version, binding fingerprint) — so reduced tables are cached
-  // across executions and the reduced subplans keep sharing results. The
-  // binding fingerprint renders canonical atom indices: isomorphic
-  // spellings agree on it, and distinct original orders can never collide.
-  std::shared_ptr<const std::vector<Table>> reduced_shared;
-  std::vector<Table> reduced_local;
+  // Opt. 3: semi-join-reduce the inputs first — when it pays. When the
+  // bindings are fingerprintable the reduction itself is too —
+  // reduction(query text, snapshot version, binding fingerprint) — so
+  // reduced tables are cached across executions and the reduced subplans
+  // keep sharing results. The binding fingerprint renders canonical atom
+  // indices: isomorphic spellings agree on it, and distinct original orders
+  // can never collide.
+  std::shared_ptr<const std::vector<Table>> reduced;
   if (opts_.propagation.opt3_semijoin_reduction) {
     obs::ScopedSpan sj_span(trace, "semijoin-reduce", root);
     std::unordered_map<int, const Table*> raw;
@@ -399,51 +428,70 @@ Result<QueryResult> QueryEngine::ExecuteInternal(const PreparedQuery& prepared,
     }
     const bool taggable =
         impl.share_results && req.params_shareable && all_tagged;
-    std::string rtag;
-    SemiJoinStats sj_stats;
-    bool sj_computed = false;
-    if (taggable) {
-      rtag = "opt3:" + exec_q->ToString() + "@" + std::to_string(version) +
-             "|" + bfp;
-      auto red = GetOrReduce(rtag, snap, *exec_q, raw, &sj_stats);
-      if (!red.ok()) return red.status();
-      reduced_shared = std::move(*red);
-      sj_computed = sj_stats.passes > 0;  // zero on a reduction-cache hit
-    } else {
-      auto red = SemiJoinReduce(snap, *exec_q, raw, &sj_stats);
-      if (!red.ok()) return red.status();
-      reduced_local = std::move(*red);
-      sj_computed = true;
-    }
-    if (sj_computed) {
-      // Previously dropped on the floor: the reduction's Bloom pre-filter
-      // counters now land in the engine registry.
-      m_semijoin_reductions_->Add(1);
-      if (sj_stats.bloom_filters_built > 0) {
-        m_bloom_built_->Add(sj_stats.bloom_filters_built);
-      }
-      if (sj_stats.bloom_probes_skipped > 0) {
-        m_bloom_skipped_->Add(sj_stats.bloom_probes_skipped);
+    // A cacheable reduction is paid once per (query, version, bindings) and
+    // then served, so it always pays. An uncached one is paid by every
+    // execution: skip it for exact plans, and when the selections leave so
+    // much of the join that the reduction removes little. Skipping leaves
+    // the inputs exactly as Opt. 3 off would.
+    const double estimate = EstimateJoinFraction(snap, *exec_q, effective);
+    const char* skip = nullptr;
+    if (!(taggable && opts_.reduction_cache_capacity > 0)) {
+      if (impl.compiled->exact) {
+        skip = "skip-exact";
+        m_semijoin_skipped_exact_->Add(1);
+      } else if (estimate > kReduceMaxJoinFraction) {
+        skip = "skip-estimate";
+        m_semijoin_skipped_estimate_->Add(1);
       }
     }
     if (trace != nullptr) {
-      trace->Annotate(sj_span.id(), "cached",
-                      std::string(sj_computed ? "no" : "yes"));
-      if (sj_computed) {
-        trace->Annotate(sj_span.id(), "passes",
-                        static_cast<uint64_t>(sj_stats.passes));
-        trace->Annotate(sj_span.id(), "bloom_filters_built",
-                        static_cast<uint64_t>(sj_stats.bloom_filters_built));
-        trace->Annotate(sj_span.id(), "bloom_probes_skipped",
-                        static_cast<uint64_t>(sj_stats.bloom_probes_skipped));
-      }
+      trace->Annotate(sj_span.id(), "decision",
+                      std::string(skip != nullptr ? skip : "reduce"));
+      trace->Annotate(sj_span.id(), "estimate", estimate);
     }
-    const std::vector<Table>& reduced =
-        reduced_shared ? *reduced_shared : reduced_local;
-    effective.clear();
-    for (int i = 0; i < exec_q->num_atoms(); ++i) {
-      effective[i] = AtomOverride{&reduced[i],
-                                  taggable ? rtag : std::string()};
+    if (skip == nullptr) {
+      std::string rtag;
+      if (taggable) {
+        rtag = "opt3:" + exec_q->ToString() + "@" + std::to_string(version) +
+               "|" + bfp;
+      }
+      SemiJoinStats sj_stats;
+      bool sj_computed = false;
+      auto red = GetOrReduce(rtag, snap, *exec_q, impl.compiled->join_tree,
+                             raw, &sj_stats, &sj_computed);
+      if (!red.ok()) return red.status();
+      reduced = std::move(*red);
+      if (sj_computed) {
+        m_semijoin_reductions_->Add(1);
+        m_semijoin_rows_before_->Add(std::accumulate(
+            sj_stats.rows_before.begin(), sj_stats.rows_before.end(),
+            size_t{0}));
+        m_semijoin_rows_after_->Add(std::accumulate(
+            sj_stats.rows_after.begin(), sj_stats.rows_after.end(),
+            size_t{0}));
+        if (sj_stats.bloom_filters_built > 0) {
+          m_bloom_built_->Add(sj_stats.bloom_filters_built);
+        }
+        if (sj_stats.bloom_probes_skipped > 0) {
+          m_bloom_skipped_->Add(sj_stats.bloom_probes_skipped);
+        }
+      }
+      if (trace != nullptr) {
+        trace->Annotate(sj_span.id(), "cached",
+                        std::string(sj_computed ? "no" : "yes"));
+        if (sj_computed) {
+          trace->Annotate(sj_span.id(), "passes",
+                          static_cast<uint64_t>(sj_stats.passes));
+          trace->Annotate(sj_span.id(), "bloom_filters_built",
+                          static_cast<uint64_t>(sj_stats.bloom_filters_built));
+          trace->Annotate(sj_span.id(), "bloom_probes_skipped",
+                          static_cast<uint64_t>(sj_stats.bloom_probes_skipped));
+        }
+      }
+      effective.clear();
+      for (int i = 0; i < exec_q->num_atoms(); ++i) {
+        effective[i] = AtomOverride{&(*reduced)[i], rtag};
+      }
     }
   }
 
@@ -697,8 +745,10 @@ Result<AnytimeResult> QueryEngine::RunWithGuarantees(
 
 Result<std::shared_ptr<const std::vector<Table>>> QueryEngine::GetOrReduce(
     const std::string& key, const Snapshot& snap, const ConjunctiveQuery& q,
+    const JoinTree& tree,
     const std::unordered_map<int, const Table*>& overrides,
-    SemiJoinStats* stats) {
+    SemiJoinStats* stats, bool* computed) {
+  *computed = false;
   const bool cacheable =
       !key.empty() && opts_.reduction_cache_capacity > 0;
   if (cacheable) {
@@ -711,10 +761,11 @@ Result<std::shared_ptr<const std::vector<Table>>> QueryEngine::GetOrReduce(
       return it->second.tables;
     }
   }
-  auto r = SemiJoinReduce(snap, q, overrides, stats);
+  auto r = SemiJoinReduce(snap, q, tree, overrides, stats);
   if (!r.ok()) return r.status();
+  *computed = true;
   auto tables = std::make_shared<const std::vector<Table>>(std::move(*r));
-  m_reduction_misses_->Add(1);
+  if (!key.empty()) m_reduction_misses_->Add(1);
   if (cacheable) {
     std::lock_guard lock(reduction_mu_);
     auto it = reduction_cache_.find(key);

@@ -400,10 +400,12 @@ class QueryEngine {
   /// under `overrides` against `snap`, cached under `key` when non-empty.
   /// `stats`, if non-null, accumulates the reduction's semi-join counters
   /// (only when the reduction is actually computed, not on a cache hit).
+  /// `computed` reports whether the reduction ran (false on a cache hit).
   Result<std::shared_ptr<const std::vector<Table>>> GetOrReduce(
       const std::string& key, const Snapshot& snap, const ConjunctiveQuery& q,
+      const JoinTree& tree,
       const std::unordered_map<int, const Table*>& overrides,
-      SemiJoinStats* stats);
+      SemiJoinStats* stats, bool* computed);
 
   /// Commit-hook body: records commit telemetry, delta-maintains hot
   /// result-cache entries across append-only commits, then sweeps entries
@@ -477,6 +479,10 @@ class QueryEngine {
   obs::Counter* m_bloom_built_;
   obs::Counter* m_bloom_skipped_;
   obs::Counter* m_semijoin_reductions_;
+  obs::Counter* m_semijoin_skipped_exact_;
+  obs::Counter* m_semijoin_skipped_estimate_;
+  obs::Counter* m_semijoin_rows_before_;
+  obs::Counter* m_semijoin_rows_after_;
   obs::Counter* m_delta_maintained_;
   obs::Counter* m_swept_;
   obs::Counter* m_safe_routed_;

@@ -5,6 +5,17 @@
 // tuples appear in no lineage (of q or of any dissociation q^Delta, whose
 // joins are strictly finer), so all plan scores are unchanged while the
 // expensive probabilistic group-bys see far fewer rows.
+//
+// The reduction program is compiled once per query shape (CompileJoinTree,
+// cached with the engine's compiled plans). An acyclic query gets a
+// Yannakakis (VLDB'81) full reducer over a GYO join forest: one bottom-up
+// and one top-down sweep, 2(m-1) semi-joins for m connected atoms, no
+// repeat loop. A cyclic query keeps the pairwise semi-join loop, run to
+// fixpoint. Both reach the same result — the largest pairwise-consistent
+// sub-instance, which for acyclic queries is exactly the set of tuples in
+// some full join of their connected component — and both work on ascending
+// per-atom selection vectors, so each shrunken table is materialized with
+// a single Select at the end.
 #ifndef DISSODB_EXEC_SEMIJOIN_H_
 #define DISSODB_EXEC_SEMIJOIN_H_
 
@@ -13,14 +24,16 @@
 
 #include "src/common/status.h"
 #include "src/query/cq.h"
-#include "src/storage/database.h"
 #include "src/storage/snapshot.h"
 
 namespace dissodb {
 
 struct SemiJoinStats {
+  /// Per atom: rows after the atom-local filters, and after the reduction.
   std::vector<size_t> rows_before;
   std::vector<size_t> rows_after;
+  /// Sweeps over the program: 2 for a join forest (bottom-up, top-down),
+  /// the number of pairwise passes to fixpoint for a cyclic query.
   int passes = 0;
   /// Build sides large enough to get a blocked Bloom pre-filter, and probe
   /// rows the filter rejected without touching the hash index. The filter
@@ -29,24 +42,48 @@ struct SemiJoinStats {
   size_t bloom_probes_skipped = 0;
 };
 
-/// Pairwise semi-join reduction to fixpoint (bounded by `max_passes`):
-/// repeatedly removes from each atom's table the tuples with no match in
-/// some other atom on their shared variables. Returns one reduced table per
-/// atom. For acyclic (e.g. hierarchical or chain/star) queries two passes
-/// reach the full reduction. Catalog bindings resolve against the pinned
-/// snapshot `snap`, so a reduction is internally consistent no matter how
-/// many commits run concurrently.
+/// The semi-join program of a query shape. Depends only on which variables
+/// each atom mentions, so one program serves every parameter binding and
+/// every selection override of a prepared query.
+struct JoinTree {
+  /// Two atoms sharing variables, with the column positions (first
+  /// occurrence) of their shared variables in each.
+  struct Edge {
+    int a = 0;
+    int b = 0;
+    std::vector<int> pos_a;
+    std::vector<int> pos_b;
+  };
+  /// True iff GYO reduction eliminated every atom: `edges` is then an
+  /// undirected join forest (running-intersection property) that the
+  /// reducer roots per request. False: `edges` lists every atom pair that
+  /// shares a variable, and the reducer loops over them to fixpoint.
+  bool acyclic = true;
+  std::vector<Edge> edges;
+};
+
+/// GYO-compiles the join forest of `q` (or, for a cyclic query, its
+/// sharing pairs). Head variables count as join variables: answers group
+/// on them, so tuples must agree on them too.
+JoinTree CompileJoinTree(const ConjunctiveQuery& q);
+
+/// Full semi-join reduction of `q`'s inputs under the precompiled `tree`.
+/// Each atom reads its override table if any, else its relation in the
+/// pinned snapshot `snap` (so a reduction is internally consistent no
+/// matter how many commits run concurrently), after the atom's constant
+/// and repeated-variable filters. Returns one reduced table per atom; rows
+/// keep their source order. Each join-forest component is rooted at its
+/// largest input, which is then probed but never indexed.
+Result<std::vector<Table>> SemiJoinReduce(
+    const Snapshot& snap, const ConjunctiveQuery& q, const JoinTree& tree,
+    const std::unordered_map<int, const Table*>& overrides = {},
+    SemiJoinStats* stats = nullptr);
+
+/// Same, compiling the join tree on the fly.
 Result<std::vector<Table>> SemiJoinReduce(
     const Snapshot& snap, const ConjunctiveQuery& q,
     const std::unordered_map<int, const Table*>& overrides = {},
-    SemiJoinStats* stats = nullptr, int max_passes = 4);
-
-/// Legacy shim resolving against the live head of `db` (single-threaded
-/// callers; no snapshot-isolation guarantees under concurrent writers).
-Result<std::vector<Table>> SemiJoinReduce(
-    const Database& db, const ConjunctiveQuery& q,
-    const std::unordered_map<int, const Table*>& overrides = {},
-    SemiJoinStats* stats = nullptr, int max_passes = 4);
+    SemiJoinStats* stats = nullptr);
 
 /// Overrides the build-side row count at which reductions add a Bloom
 /// pre-filter (default 4096; env DISSODB_BLOOM_MIN_ROWS overrides the

@@ -2,6 +2,7 @@
 // datalog entry point, overrides, and concurrent read-only queries.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -195,6 +196,127 @@ TEST(QueryEngineTest, ConcurrentQueriesOverSharedEngine) {
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(failures[t], 0) << t;
   EXPECT_EQ(engine.stats().queries,
             1u + kThreads * static_cast<size_t>(kQueriesPerThread));
+}
+
+// ---------------------------------------------------------------------------
+// Opt. 3 routing: an uncached (untagged) selection is reduced only for a
+// dissociated plan whose selections keep at most a third of the join; every
+// other request runs exactly as with Opt. 3 off.
+// ---------------------------------------------------------------------------
+
+/// R(a,x), S(x,y), T(y) with dangling rows on every join.
+Database ChainRouteDatabase() {
+  Rng rng(91);
+  Database db;
+  auto rows = [&](int arity, int n, int64_t domain) {
+    std::vector<std::pair<std::vector<int64_t>, double>> out;
+    for (int i = 0; i < n; ++i) {
+      std::vector<int64_t> vals;
+      for (int c = 0; c < arity; ++c) {
+        vals.push_back(1 + static_cast<int64_t>(rng.NextBounded(domain)));
+      }
+      out.emplace_back(vals, 0.05 + 0.9 * rng.NextDouble());
+    }
+    return out;
+  };
+  AddTable(&db, "R", 2, rows(2, 300, 40));
+  AddTable(&db, "S", 2, rows(2, 300, 50));
+  AddTable(&db, "T", 1, rows(1, 20, 50));
+  return db;
+}
+
+/// The first `n` rows of relation `name`: an untagged selection override.
+Table FirstRows(const Database& db, const std::string& name, size_t n) {
+  std::vector<uint32_t> sel(n);
+  for (size_t i = 0; i < n; ++i) sel[i] = static_cast<uint32_t>(i);
+  return (*db.GetTable(name))->Select(sel);
+}
+
+uint64_t CounterValue(QueryEngine& engine, const char* name) {
+  return engine.metrics().counter(name)->Value();
+}
+
+void ExpectBitIdentical(const QueryResult& got, const QueryResult& want) {
+  ASSERT_EQ(got.answers.size(), want.answers.size());
+  ASSERT_FALSE(want.answers.empty());
+  for (size_t i = 0; i < got.answers.size(); ++i) {
+    EXPECT_EQ(got.answers[i].tuple, want.answers[i].tuple) << i;
+    EXPECT_EQ(got.answers[i].score, want.answers[i].score) << i;
+  }
+}
+
+/// Prepares and executes `text` with the untagged `selections` (original
+/// atom index -> table).
+QueryResult RunWith(QueryEngine& engine, const std::string& text,
+                    const std::map<int, const Table*>& selections) {
+  Bindings b;
+  for (const auto& [idx, t] : selections) b.SetAtomTable(idx, t);
+  auto prepared = engine.Prepare(text);
+  EXPECT_TRUE(prepared.ok());
+  auto r = engine.Execute(*prepared, b);
+  EXPECT_TRUE(r.ok());
+  return r.ok() ? *r : QueryResult{};
+}
+
+EngineOptions Opt3On() {
+  EngineOptions opts;
+  opts.propagation.opt3_semijoin_reduction = true;
+  return opts;
+}
+
+TEST(Opt3RoutingTest, ExactPlanSkipsReduction) {
+  Database db = ChainRouteDatabase();
+  const Table r = FirstRows(db, "R", 20);  // selective, but the plan is exact
+  const std::string text = "q(a) :- R(a,x), S(x,y)";
+  QueryEngine engine = QueryEngine::Borrow(db, Opt3On());
+  QueryEngine off = QueryEngine::Borrow(db);
+  const QueryResult on = RunWith(engine, text, {{0, &r}});
+  EXPECT_TRUE(on.exact);
+  ExpectBitIdentical(on, RunWith(off, text, {{0, &r}}));
+  EXPECT_EQ(CounterValue(engine, "semijoin.skipped_exact"), 1u);
+  EXPECT_EQ(CounterValue(engine, "semijoin.reductions"), 0u);
+}
+
+TEST(Opt3RoutingTest, UnselectiveUntaggedRequestSkipsReduction) {
+  Database db = ChainRouteDatabase();
+  const Table r = FirstRows(db, "R", 150);  // keeps half the join
+  const std::string text = "q(a) :- R(a,x), S(x,y), T(y)";
+  QueryEngine engine = QueryEngine::Borrow(db, Opt3On());
+  QueryEngine off = QueryEngine::Borrow(db);
+  const QueryResult on = RunWith(engine, text, {{0, &r}});
+  EXPECT_FALSE(on.exact);
+  ExpectBitIdentical(on, RunWith(off, text, {{0, &r}}));
+  EXPECT_EQ(CounterValue(engine, "semijoin.skipped_estimate"), 1u);
+  EXPECT_EQ(CounterValue(engine, "semijoin.reductions"), 0u);
+}
+
+TEST(Opt3RoutingTest, SelectiveUntaggedRequestIsReduced) {
+  Database db = ChainRouteDatabase();
+  const Table r = FirstRows(db, "R", 60);  // keeps a fifth of the join
+  const std::string text = "q(a) :- R(a,x), S(x,y), T(y)";
+  QueryEngine engine = QueryEngine::Borrow(db, Opt3On());
+  QueryEngine off = QueryEngine::Borrow(db);
+  const QueryResult on = RunWith(engine, text, {{0, &r}});
+  EXPECT_FALSE(on.exact);
+  EXPECT_EQ(CounterValue(engine, "semijoin.reductions"), 1u);
+  EXPECT_EQ(CounterValue(engine, "semijoin.skipped_exact") +
+                CounterValue(engine, "semijoin.skipped_estimate"),
+            0u);
+  EXPECT_LT(CounterValue(engine, "semijoin.rows_after"),
+            CounterValue(engine, "semijoin.rows_before"));
+  // The route it takes: the plan evaluated over the fully reduced inputs.
+  auto reduced = SemiJoinReduce(db.snapshot(), Q(text), {{0, &r}});
+  ASSERT_TRUE(reduced.ok());
+  std::map<int, const Table*> all;
+  for (int i = 0; i < 3; ++i) all[i] = &(*reduced)[i];
+  ExpectBitIdentical(on, RunWith(off, text, all));
+  // Removed rows join with nothing, so the scores are Opt. 3 off's too.
+  const QueryResult plain = RunWith(off, text, {{0, &r}});
+  ASSERT_EQ(on.answers.size(), plain.answers.size());
+  for (size_t i = 0; i < on.answers.size(); ++i) {
+    EXPECT_EQ(on.answers[i].tuple, plain.answers[i].tuple);
+    EXPECT_DOUBLE_EQ(on.answers[i].score, plain.answers[i].score);
+  }
 }
 
 }  // namespace

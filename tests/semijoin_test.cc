@@ -24,7 +24,7 @@ TEST(SemiJoinTest, RemovesDanglingTuples) {
   AddTable(&db, "S", 2, {{{1, 4}, 0.5}, {{2, 5}, 0.5}, {{3, 6}, 0.5}});
   AddTable(&db, "T", 1, {{{4}, 0.5}, {{7}, 0.5}});
   SemiJoinStats stats;
-  auto reduced = SemiJoinReduce(db, q, {}, &stats);
+  auto reduced = SemiJoinReduce(db.snapshot(), q, {}, &stats);
   ASSERT_TRUE(reduced.ok());
   // Only the path 1 -> 4 survives everywhere.
   EXPECT_EQ((*reduced)[0].NumRows(), 1u);  // R: {1}
@@ -39,7 +39,7 @@ TEST(SemiJoinTest, FullyJoinableInputUnchanged) {
   Database db;
   AddTable(&db, "R", 1, {{{1}, 0.5}, {{2}, 0.5}});
   AddTable(&db, "S", 1, {{{1}, 0.5}, {{2}, 0.5}});
-  auto reduced = SemiJoinReduce(db, q);
+  auto reduced = SemiJoinReduce(db.snapshot(), q);
   ASSERT_TRUE(reduced.ok());
   EXPECT_EQ((*reduced)[0].NumRows(), 2u);
   EXPECT_EQ((*reduced)[1].NumRows(), 2u);
@@ -49,7 +49,7 @@ TEST(SemiJoinTest, AppliesConstantSelections) {
   auto q = Q("q() :- R(x, 7)");
   Database db;
   AddTable(&db, "R", 2, {{{1, 7}, 0.5}, {{2, 8}, 0.5}});
-  auto reduced = SemiJoinReduce(db, q);
+  auto reduced = SemiJoinReduce(db.snapshot(), q);
   ASSERT_TRUE(reduced.ok());
   EXPECT_EQ((*reduced)[0].NumRows(), 1u);
 }
@@ -61,12 +61,64 @@ TEST(SemiJoinTest, CascadingReductionNeedsMultiplePasses) {
   AddTable(&db, "R1", 2, {{{1, 2}, 0.5}});
   AddTable(&db, "R2", 2, {{{2, 3}, 0.5}, {{9, 9}, 0.5}});
   AddTable(&db, "R3", 2, {{{4, 5}, 0.5}});  // z=3 has no match!
-  auto reduced = SemiJoinReduce(db, q);
+  auto reduced = SemiJoinReduce(db.snapshot(), q);
   ASSERT_TRUE(reduced.ok());
   // Everything dies: R3 kills R2's (2,3), which kills R1's (1,2).
   EXPECT_EQ((*reduced)[0].NumRows(), 0u);
   EXPECT_EQ((*reduced)[1].NumRows(), 0u);
   EXPECT_EQ((*reduced)[2].NumRows(), 0u);
+}
+
+TEST(SemiJoinTest, LongChainsWithDanglingEndReduceToEmpty) {
+  // R0(x0,x1), ..., R{k-1}(x{k-1},xk) over one path whose last table
+  // breaks the join: a full reduction empties every atom, however long
+  // the chain (a pass-capped pairwise loop leaves the far end standing).
+  for (int k : {6, 8}) {
+    std::string text = "q() :- ";
+    Database db;
+    for (int i = 0; i < k; ++i) {
+      const std::string rel = "R" + std::to_string(i);
+      text += (i ? ", " : "") + rel + "(x" + std::to_string(i) + ",x" +
+              std::to_string(i + 1) + ")";
+      const int64_t v = i + 1 < k ? 1 : 2;  // the last row misses x{k-1}=1
+      AddTable(&db, rel, 2, {{{v, v}, 0.5}});
+    }
+    auto q = Q(text);
+    const JoinTree tree = CompileJoinTree(q);
+    EXPECT_TRUE(tree.acyclic);
+    EXPECT_EQ(tree.edges.size(), static_cast<size_t>(k - 1));
+    SemiJoinStats stats;
+    auto reduced = SemiJoinReduce(db.snapshot(), q, tree, {}, &stats);
+    ASSERT_TRUE(reduced.ok());
+    for (int i = 0; i < k; ++i) {
+      EXPECT_EQ((*reduced)[i].NumRows(), 0u) << "k=" << k << " atom " << i;
+    }
+    EXPECT_EQ(stats.passes, 2);
+  }
+}
+
+TEST(SemiJoinTest, JoinTreeClassifiesQueries) {
+  // Chains, stars and hierarchical queries are acyclic: a join forest with
+  // one edge per atom beyond the first of each connected component.
+  EXPECT_TRUE(CompileJoinTree(Q("q(z) :- R(z,x), S(x,y), T(y)")).acyclic);
+  const JoinTree star = CompileJoinTree(Q("q() :- A(x), B(x,y), C(x,z), D(x)"));
+  EXPECT_TRUE(star.acyclic);
+  EXPECT_EQ(star.edges.size(), 3u);
+  const JoinTree apart = CompileJoinTree(Q("q() :- R(x), S(x), T(y), U(y)"));
+  EXPECT_TRUE(apart.acyclic);
+  EXPECT_EQ(apart.edges.size(), 2u);
+  // A triangle is not; its program is every sharing pair.
+  const JoinTree tri = CompileJoinTree(Q("q() :- A(x,y), B(y,z), C(z,x)"));
+  EXPECT_FALSE(tri.acyclic);
+  EXPECT_EQ(tri.edges.size(), 3u);
+  // A cycle covered by one atom is acyclic again.
+  EXPECT_TRUE(
+      CompileJoinTree(Q("q() :- A(x,y), B(y,z), C(z,x), D(x,y,z)")).acyclic);
+  // A program compiled for another query is refused.
+  Database db;
+  AddTable(&db, "R", 1, {{{1}, 0.5}});
+  AddTable(&db, "S", 1, {{{1}, 0.5}});
+  EXPECT_FALSE(SemiJoinReduce(db.snapshot(), Q("q() :- R(x), S(x)"), tri).ok());
 }
 
 TEST(SemiJoinTest, PreservesAnswersAndScoresOnRandomInstances) {
@@ -101,7 +153,7 @@ TEST(SemiJoinTest, RespectsOverrides) {
   AddTable(&db, "S", 1, {{{1}, 0.5}, {{2}, 0.5}});
   Table small(RelationSchema::AllInt64("R", 1));
   small.AddRow({Value::Int64(2)}, 0.5);
-  auto reduced = SemiJoinReduce(db, q, {{0, &small}});
+  auto reduced = SemiJoinReduce(db.snapshot(), q, {{0, &small}});
   ASSERT_TRUE(reduced.ok());
   EXPECT_EQ((*reduced)[0].NumRows(), 1u);
   EXPECT_EQ((*reduced)[1].NumRows(), 1u);  // S reduced against override
@@ -158,10 +210,10 @@ TEST(SemiJoinTest, BloomFilterDoesNotChangeReduction) {
 
     SetSemiJoinBloomMinRowsForTesting(SIZE_MAX);
     SemiJoinStats off_stats;
-    auto off = SemiJoinReduce(db, q, {}, &off_stats);
+    auto off = SemiJoinReduce(db.snapshot(), q, {}, &off_stats);
     SetSemiJoinBloomMinRowsForTesting(1);
     SemiJoinStats on_stats;
-    auto on = SemiJoinReduce(db, q, {}, &on_stats);
+    auto on = SemiJoinReduce(db.snapshot(), q, {}, &on_stats);
     SetSemiJoinBloomMinRowsForTesting(4096);  // restore the default
 
     ASSERT_TRUE(off.ok());
@@ -191,7 +243,7 @@ TEST(SemiJoinTest, ForcedBloomFiltersReportStats) {
   AddTable(&db, "T", 1, {{{4}, 0.5}, {{7}, 0.5}});
   SetSemiJoinBloomMinRowsForTesting(1);
   SemiJoinStats stats;
-  auto reduced = SemiJoinReduce(db, q, {}, &stats);
+  auto reduced = SemiJoinReduce(db.snapshot(), q, {}, &stats);
   SetSemiJoinBloomMinRowsForTesting(4096);
   ASSERT_TRUE(reduced.ok());
   // Same reduction as RemovesDanglingTuples, now through the filters.

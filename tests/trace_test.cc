@@ -422,6 +422,69 @@ TEST(EngineTraceTest, SemiJoinSpanAndBloomStatsFlowIntoEngineStats) {
             stats.bloom_filters_built);
 }
 
+TEST(EngineTraceTest, SemiJoinDecisionIsAnnotatedAndExported) {
+  // One request per Opt. 3 route, each with its decision and join-fraction
+  // estimate on the semijoin-reduce span and in the registry counters.
+  Database db;
+  std::vector<std::pair<std::vector<int64_t>, double>> r_rows, s_rows;
+  for (int64_t i = 1; i <= 8; ++i) {
+    r_rows.push_back({{i, i}, 0.5});
+    s_rows.push_back({{i, i % 3}, 0.5});
+  }
+  AddTable(&db, "R", 2, r_rows);
+  AddTable(&db, "S", 2, s_rows);
+  AddTable(&db, "T", 1, {{{1}, 0.5}, {{2}, 0.5}});
+  const Table* r_base = *db.GetTable("R");
+  const Table quarter = r_base->Select(std::vector<uint32_t>{0, 1});
+  const Table half = r_base->Select(std::vector<uint32_t>{0, 1, 2, 3});
+
+  EngineOptions opts;
+  opts.propagation.opt3_semijoin_reduction = true;
+  QueryEngine engine = QueryEngine::Borrow(db, opts);
+  auto safe = engine.Prepare("q(a) :- R(a,x), S(x,y)");
+  auto unsafe = engine.Prepare("q(a) :- R(a,x), S(x,y), T(y)");
+  ASSERT_TRUE(safe.ok());
+  ASSERT_TRUE(unsafe.ok());
+  struct Case {
+    const PreparedQuery* prepared;
+    const Table* selection;
+    const char* decision;
+    const char* estimate;
+  };
+  for (const Case& c : {Case{&*safe, &quarter, "skip-exact", "0.25"},
+                        Case{&*unsafe, &half, "skip-estimate", "0.5"},
+                        Case{&*unsafe, &quarter, "reduce", "0.25"}}) {
+    auto res = engine.Execute(
+        *c.prepared, Bindings().SetAtomTable(0, c.selection).EnableTrace());
+    ASSERT_TRUE(res.ok());
+    ASSERT_NE(res->trace, nullptr);
+    const obs::TraceSpan* sj = FindSpan(*res->trace, "semijoin-reduce");
+    ASSERT_NE(sj, nullptr) << c.decision;
+    ASSERT_NE(Arg(*sj, "decision"), nullptr);
+    EXPECT_EQ(*Arg(*sj, "decision"), c.decision);
+    ASSERT_NE(Arg(*sj, "estimate"), nullptr);
+    EXPECT_EQ(*Arg(*sj, "estimate"), c.estimate);
+    // Only the reduced request reports the reduction's own work.
+    EXPECT_EQ(Arg(*sj, "passes") != nullptr,
+              std::string(c.decision) == "reduce");
+  }
+
+  const std::string text = engine.metrics().PrometheusText();
+  EXPECT_NE(text.find("dissodb_semijoin_skipped_exact 1\n"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("dissodb_semijoin_skipped_estimate 1\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("dissodb_semijoin_reductions 1\n"), std::string::npos);
+  // The reduction saw R's two selected rows, all of S and T (8 + 2), and
+  // kept the joining ones.
+  EXPECT_NE(text.find("dissodb_semijoin_rows_before 12\n"), std::string::npos);
+  const uint64_t after = engine.metrics().counter("semijoin.rows_after")->Value();
+  EXPECT_GT(after, 0u);
+  EXPECT_LT(after, 12u);
+  EXPECT_NE(text.find("dissodb_semijoin_rows_after " + std::to_string(after)),
+            std::string::npos);
+}
+
 TEST(EngineTraceTest, PrometheusDumpCoversEngineSchedulerAndScans) {
   Database db = RstDatabase();
   EngineOptions opts;
