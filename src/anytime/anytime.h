@@ -38,14 +38,16 @@ struct GuaranteeSpec {
   /// Wall-clock budget measured from the RunWithGuarantees call. The
   /// bounds stages always run (they are the cheap unconditional floor);
   /// the deadline gates refinement — a deadline that expires mid-round
-  /// cancels the round's remaining tasks and returns the intervals
-  /// accumulated so far. zero (default) = unbounded.
+  /// skips the round's queued tasks, stops the running ones within about
+  /// one WMC call or MC poll stride, and returns the intervals accumulated
+  /// so far. zero (default) = unbounded.
   std::chrono::nanoseconds deadline{0};
 
   /// Exact-WMC escalation budget per contested answer (recursive calls; see
-  /// WmcOptions). Small lineages collapse their interval to a point in one
-  /// step; larger ones fall through to incremental MC. 0 disables exact
-  /// escalation (pure-MC refinement, used by reproducibility tests).
+  /// WmcOptions; each answer's count owns its budget). Small lineages
+  /// collapse their interval to a point in one step; larger ones fall
+  /// through to incremental MC. 0 disables exact escalation (pure-MC
+  /// refinement, used by reproducibility tests).
   size_t wmc_max_calls = 200'000;
 
   /// MC batch size for round r is mc_base_samples << min(r, 10), capped at

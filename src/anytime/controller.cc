@@ -53,16 +53,21 @@ struct WaitGroup {
 
 /// Per-answer refinement state, stable-addressed (McEstimator keeps a
 /// pointer to the Dnf) and keyed by the answer tuple so it survives the
-/// per-round re-sorts of the answer vector.
+/// per-round re-sorts of the answer vector. The DNF and estimator are
+/// built by the answer's first refinement task, so only answers that ever
+/// contest a guarantee pay for them.
 struct RefineState {
+  const AnswerLineage* lineage = nullptr;
   Dnf dnf;
-  std::unique_ptr<McEstimator> est;
+  std::unique_ptr<McEstimator> est;  ///< null until the first refinement
   uint64_t answer_hash = 0;
   bool wmc_tried = false;
   bool exact_done = false;
   double exact_value = 0.0;
   /// Samples folded in by the last batch (0 when cancelled or exact).
   size_t last_drawn = 0;
+
+  size_t samples() const { return est == nullptr ? 0 : est->samples(); }
 };
 
 uint64_t TupleHash(const std::vector<Value>& tuple) {
@@ -125,31 +130,40 @@ std::vector<size_t> HeadPermutation(const ConjunctiveQuery& q,
 /// The refinement task body: exact WMC if the budget allows, else one MC
 /// batch. Runs on a pool worker; touches only its own `state` (the
 /// answer's bounds are read-only here, folded by the controller at the
-/// barrier).
-void RefineOne(RefineState* state, const GuaranteeSpec& spec, size_t round,
-               uint64_t plans_hash,
+/// barrier). Both rungs poll `token`, so a task stops within one WMC call
+/// or MC poll stride of the deadline.
+void RefineOne(RefineState* state, const LineageResult& lineage,
+               const GuaranteeSpec& spec, size_t round, uint64_t plans_hash,
                const std::shared_ptr<const CancelToken>& token) {
   state->last_drawn = 0;
   if (state->exact_done) return;
+  if (state->est == nullptr) {
+    state->dnf = lineage.ToDnf(*state->lineage);
+    state->est = std::make_unique<McEstimator>(&state->dnf);
+  }
+  auto cancelled = [&token] { return token->cancelled(); };
   if (spec.wmc_max_calls > 0 && !state->wmc_tried) {
     state->wmc_tried = true;
-    auto exact = ExactDnfProbability(state->dnf, {spec.wmc_max_calls});
+    auto exact =
+        ExactDnfProbability(state->dnf, {spec.wmc_max_calls, cancelled});
     if (exact.ok()) {
       state->exact_value = *exact;
       state->exact_done = true;
       return;
     }
-    // OutOfRange: lineage too wide for the budget — fall through to MC.
+    // Cancelled: the deadline passed, so stop here — an MC batch could
+    // not finish either. OutOfRange: lineage too wide for the budget —
+    // fall through to MC.
+    if (exact.status().code() == Status::Code::kCancelled) return;
   }
-  const size_t have = state->est->samples();
+  const size_t have = state->samples();
   if (have >= spec.mc_max_samples_per_answer) return;
   size_t n = spec.mc_base_samples
              << std::min<size_t>(round, 10);  // geometric batch growth
   n = std::min(n, spec.mc_max_samples_per_answer - have);
   if (n == 0) return;
   Rng rng(RefinementSeed(plans_hash, state->answer_hash, round));
-  state->last_drawn = state->est->AddBatch(
-      n, &rng, [&token] { return token->cancelled(); });
+  state->last_drawn = state->est->AddBatch(n, &rng, cancelled);
 }
 
 }  // namespace
@@ -263,22 +277,30 @@ Result<AnytimeOutput> RunAnytime(const AnytimeInput& in,
         lineage_ov[i] = &in.snap.table(t);
       }
     }
-    auto lineage = ComputeLineage(*in.db, q, lineage_ov);
-    if (!lineage.ok()) return lineage.status();
+    LineageOptions lineage_opts;
+    lineage_opts.cancelled = [&token] { return token->cancelled(); };
+    auto lineage = ComputeLineage(*in.db, q, lineage_ov, lineage_opts);
+    if (!lineage.ok() &&
+        lineage.status().code() != Status::Code::kCancelled) {
+      return lineage.status();
+    }
 
     // Lineage answers are keyed in ascending canonical head-var order;
-    // permute each key into caller order to match out.answers tuples.
+    // permute each key into caller order to match out.answers tuples. A
+    // cancelled grounding leaves no states, and the round loop below never
+    // starts: its token has tripped.
     const std::vector<size_t> perm = HeadPermutation(q, in.var_map);
     const uint64_t plans_hash = PlansHash(*in.compiled, q);
     std::map<std::vector<Value>, std::unique_ptr<RefineState>> states;
-    for (const AnswerLineage& al : lineage->answers) {
-      std::vector<Value> key(al.answer.size());
-      for (size_t j = 0; j < perm.size(); ++j) key[j] = al.answer[perm[j]];
-      auto state = std::make_unique<RefineState>();
-      state->dnf = lineage->ToDnf(al);
-      state->est = std::make_unique<McEstimator>(&state->dnf);
-      state->answer_hash = TupleHash(key);
-      states.emplace(std::move(key), std::move(state));
+    if (lineage.ok()) {
+      for (const AnswerLineage& al : lineage->answers) {
+        std::vector<Value> key(al.answer.size());
+        for (size_t j = 0; j < perm.size(); ++j) key[j] = al.answer[perm[j]];
+        auto state = std::make_unique<RefineState>();
+        state->lineage = &al;
+        state->answer_hash = TupleHash(key);
+        states.emplace(std::move(key), std::move(state));
+      }
     }
 
     std::set<std::vector<Value>> refined_tuples;
@@ -293,8 +315,7 @@ Result<AnytimeOutput> RunAnytime(const AnytimeInput& in,
         RefineState& s = *it->second;
         if (s.exact_done) continue;
         const bool wmc_pending = spec.wmc_max_calls > 0 && !s.wmc_tried;
-        if (!wmc_pending &&
-            s.est->samples() >= spec.mc_max_samples_per_answer) {
+        if (!wmc_pending && s.samples() >= spec.mc_max_samples_per_answer) {
           continue;
         }
         work.emplace_back(idx, &s);
@@ -304,8 +325,9 @@ Result<AnytimeOutput> RunAnytime(const AnytimeInput& in,
       WaitGroup wg(work.size());
       for (auto& [idx, state] : work) {
         RefineState* s = state;
-        auto task = [s, &spec, round, plans_hash, token] {
-          RefineOne(s, spec, round, plans_hash, token);
+        const LineageResult* lin = &*lineage;
+        auto task = [s, lin, &spec, round, plans_hash, token] {
+          RefineOne(s, *lin, spec, round, plans_hash, token);
         };
         if (in.scheduler != nullptr) {
           in.scheduler->Submit(std::move(task), "anytime-refine", token,
@@ -327,7 +349,6 @@ Result<AnytimeOutput> RunAnytime(const AnytimeInput& in,
       // Fold results into the ranking — single-threaded, post-barrier.
       for (auto& [idx, state] : work) {
         BoundedAnswer& a = out.answers[idx];
-        refined_tuples.insert(a.tuple);
         if (state->exact_done) {
           const double v =
               std::clamp(Clamp01(state->exact_value), a.lower, a.upper);
@@ -350,7 +371,10 @@ Result<AnytimeOutput> RunAnytime(const AnytimeInput& in,
           a.point = std::clamp(est, a.lower, a.upper);
           a.source = BoundSource::kMc;
           a.mc_samples = state->est->samples();
+        } else {
+          continue;  // skipped or cancelled: nothing folded in
         }
+        refined_tuples.insert(a.tuple);
       }
       ++round;
       out.stats.refine_rounds = round;

@@ -11,11 +11,15 @@
 //      (snapshot-consistent: every atom overridden with its pinned table),
 //      then refine in rounds: interval ranking picks only the answers whose
 //      intervals still contest a rank boundary or exceed the width budget
-//      (src/anytime/interval_rank.h); each gets exact WMC when its lineage
-//      fits the budget, else an incremental MC batch. Rounds run as
-//      cancellable Scheduler tasks — an expired deadline skips queued tasks
-//      and discards in-flight batches whole, and the round barrier always
-//      joins before returning (no leaked workers).
+//      (src/anytime/interval_rank.h); an answer's DNF is built when it is
+//      first refined, then it gets exact WMC when its lineage fits the
+//      per-call budget, else an incremental MC batch. Rounds run as
+//      cancellable Scheduler tasks. The deadline's CancelToken reaches
+//      every stage: grounding stops within ~1k partial rows, exact WMC
+//      within one recursive call (a cancelled count ends the task — no MC
+//      fallback), MC within one poll stride of a batch (~0.3 ms, the batch
+//      discarded whole), and queued tasks are skipped. The round barrier
+//      always joins before returning (no leaked workers).
 //   4. Terminate as soon as the top-k order is certified / every width is
 //      within epsilon (kCertified), the refinement budget dries up
 //      (kBoundsOnly), or the deadline fires (kBoundsOnly, deadline_hit).

@@ -24,6 +24,10 @@ class Status {
     kOutOfRange,
     kUnimplemented,
     kInternal,
+    /// The caller's cancellation signal fired (e.g. a deadline passed)
+    /// before the operation finished: no result, and not a failure of the
+    /// input or of a budget.
+    kCancelled,
   };
 
   Status() : code_(Code::kOk) {}
@@ -48,6 +52,9 @@ class Status {
   static Status Internal(std::string msg) {
     return Status(Code::kInternal, std::move(msg));
   }
+  static Status Cancelled(std::string msg) {
+    return Status(Code::kCancelled, std::move(msg));
+  }
 
   bool ok() const { return code_ == Code::kOk; }
   Code code() const { return code_; }
@@ -68,6 +75,7 @@ class Status {
       case Code::kOutOfRange: return "OutOfRange";
       case Code::kUnimplemented: return "Unimplemented";
       case Code::kInternal: return "Internal";
+      case Code::kCancelled: return "Cancelled";
     }
     return "Unknown";
   }

@@ -121,7 +121,9 @@ QueryEngine::QueryEngine(std::shared_ptr<const Database> db,
       m_safe_compile_ns_(metrics_.histogram("engine.safe_plan.compile_ns")),
       m_anytime_rounds_per_query_(
           metrics_.histogram("engine.anytime.refine_rounds_per_query")),
-      m_anytime_run_ns_(metrics_.histogram("engine.anytime.run_ns")) {
+      m_anytime_run_ns_(metrics_.histogram("engine.anytime.run_ns")),
+      m_anytime_deadline_overrun_ns_(
+          metrics_.histogram("engine.anytime.deadline_overrun_ns")) {
   if (opts_.result_cache_capacity > 0) {
     result_cache_ = std::make_unique<ResultCache>(opts_.result_cache_capacity);
   }
@@ -717,7 +719,13 @@ Result<AnytimeResult> QueryEngine::RunWithGuarantees(
     m_mc_samples_drawn_->Add(result.mc_samples_drawn);
   }
   m_anytime_rounds_per_query_->Record(result.refine_rounds);
-  m_anytime_run_ns_->Record(obs::NowNanos() - t_start);
+  const uint64_t run_ns = obs::NowNanos() - t_start;
+  m_anytime_run_ns_->Record(run_ns);
+  if (result.deadline_hit) {
+    const auto deadline_ns = static_cast<uint64_t>(spec.deadline.count());
+    m_anytime_deadline_overrun_ns_->Record(
+        run_ns > deadline_ns ? run_ns - deadline_ns : 0);
+  }
 
   if (obs::TraceContext* trace = req.trace; trace != nullptr) {
     // The escalation rung this execution ended on: bounds -> refine ->

@@ -501,6 +501,8 @@ class QueryEngine {
   obs::Histogram* m_safe_compile_ns_;
   obs::Histogram* m_anytime_rounds_per_query_;
   obs::Histogram* m_anytime_run_ns_;
+  /// Return time past the deadline, recorded on every deadline-hit run.
+  obs::Histogram* m_anytime_deadline_overrun_ns_;
   /// Round-robin tick for EngineOptions.trace_sample_every.
   std::atomic<uint64_t> trace_tick_{0};
   /// Declared last on purpose: destroyed first, so the pool joins (running

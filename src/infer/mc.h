@@ -44,7 +44,8 @@ class McEstimator {
   explicit McEstimator(const Dnf* f) : f_(f), world_(f->num_vars()) {}
 
   /// Draws `n` worlds with `rng` and folds them in. `cancelled`, when
-  /// non-empty, is polled every few hundred draws; a cancelled batch is
+  /// non-empty, is polled by work done (about every 16k variables drawn
+  /// plus literals evaluated, at most ~0.3 ms apart); a cancelled batch is
   /// discarded *whole* (state stays exactly as before the call), so the
   /// accumulated state is a deterministic function of which batches
   /// completed — never of where a deadline landed inside one. Returns the

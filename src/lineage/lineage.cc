@@ -51,6 +51,14 @@ struct AtomData {
   int id_offset;                   // dense ground-tuple id base
 };
 
+/// Partial rows between two polls of LineageOptions::cancelled: a row
+/// costs a few hundred ns, so a poll lands well within a millisecond.
+constexpr size_t kLineageCancelStride = 1024;
+
+Status GroundingCancelled() {
+  return Status::Cancelled("lineage grounding cancelled");
+}
+
 }  // namespace
 
 Result<LineageResult> ComputeLineage(
@@ -59,10 +67,18 @@ Result<LineageResult> ComputeLineage(
     const LineageOptions& opts) {
   const int m = q.num_atoms();
   LineageResult result;
+  // Called once per partial row joined or grouped; polls opts.cancelled
+  // on every kLineageCancelStride-th call.
+  size_t rows_done = 0;
+  auto stride_cancelled = [&opts, &rows_done] {
+    return opts.cancelled && ++rows_done % kLineageCancelStride == 0 &&
+           opts.cancelled();
+  };
 
   // Prepare per-atom filtered row lists and dense ground-tuple ids.
   std::vector<AtomData> atoms(m);
   for (int i = 0; i < m; ++i) {
+    if (opts.cancelled && opts.cancelled()) return GroundingCancelled();
     const Atom& a = q.atom(i);
     const Table* table = nullptr;
     auto oit = overrides.find(i);
@@ -176,6 +192,7 @@ Result<LineageResult> ComputeLineage(
     }
     std::vector<Partial> next;
     for (const auto& p : partial) {
+      if (stride_cancelled()) return GroundingCancelled();
       size_t h = 0x8f1bbc;
       for (VarId v : shared) HashCombine(&h, p.values[v].Hash());
       auto it = ht.find(h);
@@ -199,6 +216,7 @@ Result<LineageResult> ComputeLineage(
         if (next.size() > opts.max_total_terms) {
           return Status::OutOfRange("lineage exceeds max_total_terms");
         }
+        if (stride_cancelled()) return GroundingCancelled();
       }
     }
     partial = std::move(next);
@@ -210,6 +228,7 @@ Result<LineageResult> ComputeLineage(
   std::vector<VarId> head = MaskToVars(q.HeadMask());
   std::map<std::vector<Value>, std::vector<std::vector<int>>> grouped;
   for (const auto& p : partial) {
+    if (stride_cancelled()) return GroundingCancelled();
     std::vector<Value> key;
     key.reserve(head.size());
     for (VarId v : head) key.push_back(p.values[v]);

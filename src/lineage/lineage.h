@@ -3,6 +3,7 @@
 #ifndef DISSODB_LINEAGE_LINEAGE_H_
 #define DISSODB_LINEAGE_LINEAGE_H_
 
+#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -47,6 +48,10 @@ struct LineageResult {
 struct LineageOptions {
   /// Guard against grounding blowup (total satisfying assignments).
   size_t max_total_terms = 50'000'000;
+  /// When non-empty, polled once per atom and once per ~1k partial rows
+  /// joined or grouped; once it returns true grounding stops with
+  /// Cancelled.
+  std::function<bool()> cancelled;
 };
 
 /// Grounds q on db: the full lineage of every answer. `overrides` rebinds

@@ -11,9 +11,12 @@
 //  (4) Deadlines: an already-expired deadline yields bounds-only answers
 //      with no refinement work and no leaked workers; racing deadlines
 //      never break the interval invariants (TSan coverage).
+//      A deadline that fires inside a long exact-WMC task lands within a
+//      bounded slack of it.
 //  (5) Reproducibility: with exact escalation disabled the pure-MC
 //      refinement path returns bit-identical intervals for 1 and 8 worker
-//      threads.
+//      threads; so does a mix of exact and MC refinement in which some
+//      answers exceed their per-call WMC budget.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -25,7 +28,9 @@
 #include "src/anytime/anytime.h"
 #include "src/dissociation/counting.h"
 #include "src/engine/query_engine.h"
+#include "src/infer/exact.h"
 #include "src/infer/query_inference.h"
+#include "src/lineage/lineage.h"
 #include "src/workload/random_instance.h"
 #include "src/workload/synthetic.h"
 #include "tests/test_util.h"
@@ -69,6 +74,34 @@ size_t ExpectSandwich(const AnytimeResult& res,
   }
   return checked;
 }
+
+// q(a) :- A(a,x), B(x,y), C(y) over a complete n x n bipartite B, answer a
+// joining the first fanout[a] x values: answer a's lineage is the
+// fanout[a] x n bipartite formula {A(a,x) B(x,y) C(y)}, whose exact-WMC
+// call count grows exponentially in min(fanout[a], n) (~3.7k calls at
+// 6 x 10, ~450k at 12 x 12).
+Database BipartiteChainDatabase(const std::vector<int>& fanout, int n,
+                                uint64_t seed) {
+  Rng rng(seed);
+  auto prob = [&rng] { return 0.2 + 0.6 * rng.NextDouble(); };
+  std::vector<std::pair<std::vector<int64_t>, double>> a_rows, b_rows, c_rows;
+  for (size_t a = 0; a < fanout.size(); ++a) {
+    for (int x = 0; x < fanout[a]; ++x) {
+      a_rows.push_back({{static_cast<int64_t>(a), x}, prob()});
+    }
+  }
+  for (int x = 0; x < n; ++x) {
+    for (int y = 0; y < n; ++y) b_rows.push_back({{x, y}, prob()});
+  }
+  for (int y = 0; y < n; ++y) c_rows.push_back({{y}, prob()});
+  Database db;
+  AddTable(&db, "A", 2, a_rows);
+  AddTable(&db, "B", 2, b_rows);
+  AddTable(&db, "C", 1, c_rows);
+  return db;
+}
+
+constexpr const char* kBipartiteChain = "q(a) :- A(a,x), B(x,y), C(y)";
 
 // ---------------------------------------------------------------------------
 // (1) Bounds sandwich on random queries
@@ -336,9 +369,92 @@ TEST(AnytimeTest, RacingDeadlinesPreserveIntervalInvariants) {
   }
 }
 
+TEST(AnytimeTest, DeadlineStopsALongExactWmcTask) {
+  Database db = BipartiteChainDatabase({20, 20, 20, 20}, 20, 11);
+  ConjunctiveQuery q = Q(kBipartiteChain);
+
+  // Uncancelled, exact WMC of one answer runs well past the bound asserted
+  // below (it is exponential in 20): stop it after 1 s to show as much.
+  auto lineage = ComputeLineage(db, q);
+  ASSERT_TRUE(lineage.ok());
+  ASSERT_EQ(lineage->answers.size(), 4u);
+  const auto stop = std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  WmcOptions wmc;
+  wmc.max_calls = std::numeric_limits<size_t>::max();
+  wmc.cancelled = [stop] { return std::chrono::steady_clock::now() >= stop; };
+  auto p = ExactDnfProbability(lineage->ToDnf(lineage->answers[0]), wmc);
+  ASSERT_EQ(p.status().code(), Status::Code::kCancelled);
+
+  QueryEngine engine = QueryEngine::Borrow(db);
+  auto prepared = engine.Prepare(q);
+  ASSERT_TRUE(prepared.ok());
+  ASSERT_FALSE(prepared->exact());
+  auto bounds = engine.RunWithGuarantees(*prepared);  // no targets
+  ASSERT_TRUE(bounds.ok());
+
+  GuaranteeSpec spec;
+  spec.epsilon = 1e-9;  // every answer contested: every one starts WMC
+  spec.wmc_max_calls = std::numeric_limits<size_t>::max();
+  spec.deadline = std::chrono::milliseconds(100);
+  const auto t0 = std::chrono::steady_clock::now();
+  auto res = engine.RunWithGuarantees(*prepared, {}, spec);
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+
+  EXPECT_LT(elapsed, spec.deadline + std::chrono::milliseconds(500));
+  EXPECT_TRUE(res->deadline_hit);
+  EXPECT_EQ(res->verdict, AnytimeVerdict::kBoundsOnly);
+  EXPECT_EQ(res->refine_rounds, 1u);
+  // A cancelled count folds nothing in and falls through to no MC batch:
+  // no answer counts as refined, and the intervals are the sound bounds,
+  // bit for bit.
+  EXPECT_EQ(res->refined_answers, 0u);
+  EXPECT_EQ(res->mc_samples_drawn, 0u);
+  ASSERT_EQ(res->answers.size(), bounds->answers.size());
+  for (size_t i = 0; i < res->answers.size(); ++i) {
+    const BoundedAnswer& a = res->answers[i];
+    EXPECT_EQ(a.tuple, bounds->answers[i].tuple) << i;
+    EXPECT_EQ(a.lower, bounds->answers[i].lower) << i;
+    EXPECT_EQ(a.upper, bounds->answers[i].upper) << i;
+    EXPECT_LT(a.lower, a.upper) << i;
+    EXPECT_EQ(a.source, BoundSource::kBounds) << i;
+    EXPECT_FALSE(a.certified) << i;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // (5) Pure-MC refinement is bit-reproducible across worker counts
 // ---------------------------------------------------------------------------
+
+// RunWithGuarantees on a fresh engine whose pool has `threads` workers.
+AnytimeResult RunOnThreads(const Database& db, const ConjunctiveQuery& q,
+                           const GuaranteeSpec& spec, int threads) {
+  EngineOptions opts;
+  opts.num_threads = threads;
+  QueryEngine engine = QueryEngine::Borrow(db, opts);
+  auto prepared = engine.Prepare(q);
+  EXPECT_TRUE(prepared.ok());
+  auto res = engine.RunWithGuarantees(*prepared, {}, spec);
+  EXPECT_TRUE(res.ok());
+  return std::move(*res);
+}
+
+// Bit-identical, not approximately equal: same rounds, same samples, same
+// intervals, same rung per answer.
+void ExpectBitIdentical(const AnytimeResult& a, const AnytimeResult& b) {
+  EXPECT_EQ(a.refine_rounds, b.refine_rounds);
+  EXPECT_EQ(a.mc_samples_drawn, b.mc_samples_drawn);
+  ASSERT_EQ(a.answers.size(), b.answers.size());
+  for (size_t i = 0; i < a.answers.size(); ++i) {
+    EXPECT_EQ(a.answers[i].tuple, b.answers[i].tuple) << i;
+    EXPECT_EQ(a.answers[i].lower, b.answers[i].lower) << i;
+    EXPECT_EQ(a.answers[i].upper, b.answers[i].upper) << i;
+    EXPECT_EQ(a.answers[i].point, b.answers[i].point) << i;
+    EXPECT_EQ(a.answers[i].certified, b.answers[i].certified) << i;
+    EXPECT_EQ(a.answers[i].source, b.answers[i].source) << i;
+    EXPECT_EQ(a.answers[i].mc_samples, b.answers[i].mc_samples) << i;
+  }
+}
 
 TEST(AnytimeTest, IntervalsReproducibleAcrossThreadCounts) {
   ChainSpec cspec;
@@ -356,31 +472,35 @@ TEST(AnytimeTest, IntervalsReproducibleAcrossThreadCounts) {
   spec.mc_max_samples_per_answer = 1 << 16;
   spec.max_refine_rounds = 8;
 
-  auto run = [&](int threads) {
-    EngineOptions opts;
-    opts.num_threads = threads;
-    QueryEngine engine = QueryEngine::Borrow(db, opts);
-    auto prepared = engine.Prepare(q);
-    EXPECT_TRUE(prepared.ok());
-    auto res = engine.RunWithGuarantees(*prepared, {}, spec);
-    EXPECT_TRUE(res.ok());
-    return std::move(*res);
-  };
-
-  const auto one = run(1);
-  const auto eight = run(8);
+  const auto one = RunOnThreads(db, q, spec, 1);
   EXPECT_GT(one.refine_rounds, 0u);
-  ASSERT_EQ(one.answers.size(), eight.answers.size());
-  EXPECT_EQ(one.refine_rounds, eight.refine_rounds);
-  EXPECT_EQ(one.mc_samples_drawn, eight.mc_samples_drawn);
-  for (size_t i = 0; i < one.answers.size(); ++i) {
-    EXPECT_EQ(one.answers[i].tuple, eight.answers[i].tuple) << i;
-    // Bit-identical, not approximately equal.
-    EXPECT_EQ(one.answers[i].lower, eight.answers[i].lower) << i;
-    EXPECT_EQ(one.answers[i].upper, eight.answers[i].upper) << i;
-    EXPECT_EQ(one.answers[i].point, eight.answers[i].point) << i;
-    EXPECT_EQ(one.answers[i].certified, eight.answers[i].certified) << i;
+  ExpectBitIdentical(one, RunOnThreads(db, q, spec, 8));
+}
+
+TEST(AnytimeTest, WmcBudgetsAreReproducibleAcrossThreadCounts) {
+  // Answers with fanout <= 6 fit the WMC budget (<= ~3.7k calls) and
+  // collapse to points; fanout >= 8 exceeds it and falls through to MC.
+  // Each count owns its budget, so which answers take which rung does not
+  // depend on what runs beside them.
+  Database db = BipartiteChainDatabase({2, 3, 4, 5, 6, 8, 10, 12}, 10, 3);
+  ConjunctiveQuery q = Q(kBipartiteChain);
+
+  GuaranteeSpec spec;
+  spec.epsilon = 1e-9;  // no deadline; MC never gets this narrow
+  spec.wmc_max_calls = 5000;
+  spec.mc_base_samples = 256;
+  spec.max_refine_rounds = 3;
+
+  const auto one = RunOnThreads(db, q, spec, 1);
+  size_t exact = 0, mc = 0;
+  for (const auto& a : one.answers) {
+    exact += a.source == BoundSource::kExactWmc;
+    mc += a.source == BoundSource::kMc;
   }
+  EXPECT_EQ(exact, 5u);
+  EXPECT_EQ(mc, 3u);
+  EXPECT_FALSE(one.deadline_hit);
+  ExpectBitIdentical(one, RunOnThreads(db, q, spec, 4));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
 
 #include "src/common/rng.h"
 #include "src/infer/exact.h"
@@ -23,6 +24,22 @@ Dnf RandomDnf(Rng* rng, int max_vars, int max_terms, int max_len) {
       term.push_back(static_cast<int>(rng->NextBounded(n)));
     }
     f.terms.push_back(std::move(term));
+  }
+  f.Normalize();
+  return f;
+}
+
+// Lineage of the unsafe chain q :- R(x), S(x,y), T(y) over a complete
+// d x n bipartite S: terms {x_i, y_j, s_ij}. Neither decomposition nor
+// memoization tames it; the call count grows exponentially in min(d, n)
+// (~450k calls at 12 x 12).
+Dnf BipartiteDnf(int d, int n, Rng* rng) {
+  Dnf f;
+  for (int v = 0; v < d + n + d * n; ++v) {
+    f.probs.push_back(0.2 + 0.6 * rng->NextDouble());
+  }
+  for (int i = 0; i < d; ++i) {
+    for (int j = 0; j < n; ++j) f.terms.push_back({i, d + j, d + n + i * n + j});
   }
   f.Normalize();
   return f;
@@ -136,6 +153,78 @@ TEST(ExactTest, BudgetGuardTriggers) {
   auto p = ExactDnfProbability(f, opts);
   EXPECT_FALSE(p.ok());
   EXPECT_EQ(p.status().code(), Status::Code::kOutOfRange);
+  EXPECT_EQ(LastWmcStats().calls, 3u);  // stops at exactly max_calls
+}
+
+TEST(ExactTest, FiredCancellationReturnsCancelledNeverANumber) {
+  Rng rng(7);
+  const Dnf wide = BipartiteDnf(12, 12, &rng);
+  const Dnf empty;
+  Dnf single_term;
+  single_term.probs = {0.5};
+  single_term.terms = {{0}};
+  const Dnf& single = single_term;
+  WmcOptions opts;
+  opts.cancelled = [] { return true; };
+  // Already fired: even the empty formula and a single term (one call
+  // each) report Cancelled instead of their trivial values.
+  for (const Dnf* f : {&empty, &single, &wide}) {
+    auto p = ExactDnfProbability(*f, opts);
+    ASSERT_FALSE(p.ok());
+    EXPECT_EQ(p.status().code(), Status::Code::kCancelled);
+    EXPECT_EQ(LastWmcStats().calls, 0u);
+  }
+  // Fires mid-count: polled on every call, so the count stops at once.
+  size_t polls = 0;
+  opts.cancelled = [&polls] { return ++polls > 100; };
+  auto p = ExactDnfProbability(wide, opts);
+  ASSERT_FALSE(p.ok());
+  EXPECT_EQ(p.status().code(), Status::Code::kCancelled);
+  EXPECT_EQ(polls, 101u);
+  EXPECT_EQ(LastWmcStats().calls, 100u);
+}
+
+TEST(ExactTest, SilentCancellationCallbackChangesNothing) {
+  Rng rng(2468);
+  WmcOptions polled;
+  polled.cancelled = [] { return false; };
+  for (int trial = 0; trial < 100; ++trial) {
+    Dnf f = RandomDnf(&rng, 20, 20, 5);
+    auto plain = ExactDnfProbability(f);
+    ASSERT_TRUE(plain.ok());
+    const WmcStats plain_stats = LastWmcStats();
+    auto with_callback = ExactDnfProbability(f, polled);
+    ASSERT_TRUE(with_callback.ok());
+    EXPECT_EQ(*plain, *with_callback) << f.ToString();
+    EXPECT_EQ(plain_stats.calls, LastWmcStats().calls);
+    EXPECT_EQ(plain_stats.memo_hits, LastWmcStats().memo_hits);
+  }
+}
+
+TEST(ExactTest, ConcurrentCallsKeepTheirOwnBudgets) {
+  // Two threads count wide formulas at once, each with its own budget:
+  // each stops at exactly its own max_calls, and each thread's
+  // LastWmcStats describes its own call.
+  auto worker = [](uint64_t seed, size_t max_calls, size_t* bad) {
+    Rng rng(seed);
+    const Dnf f = BipartiteDnf(12, 12, &rng);
+    WmcOptions opts;
+    opts.max_calls = max_calls;
+    for (int rep = 0; rep < 10; ++rep) {
+      auto p = ExactDnfProbability(f, opts);
+      if (p.status().code() != Status::Code::kOutOfRange ||
+          LastWmcStats().calls != max_calls) {
+        ++*bad;
+      }
+    }
+  };
+  size_t bad_a = 0, bad_b = 0;
+  std::thread a(worker, 1, 20'000, &bad_a);
+  std::thread b(worker, 2, 30'000, &bad_b);
+  a.join();
+  b.join();
+  EXPECT_EQ(bad_a, 0u);
+  EXPECT_EQ(bad_b, 0u);
 }
 
 TEST(ExactTest, MemoizationHitsOnRepeatedSubformulas) {

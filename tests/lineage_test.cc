@@ -109,6 +109,35 @@ TEST(LineageTest, GuardOnBlowup) {
   EXPECT_EQ(lin.status().code(), Status::Code::kOutOfRange);
 }
 
+TEST(LineageTest, CancellationReturnsCancelled) {
+  auto q = Q("q() :- R(x), S(y)");  // cartesian product: 40k partial rows
+  Database db;
+  std::vector<std::pair<std::vector<int64_t>, double>> rows;
+  for (int i = 0; i < 200; ++i) rows.push_back({{i}, 0.5});
+  AddTable(&db, "R", 1, rows);
+  AddTable(&db, "S", 1, rows);
+  LineageOptions opts;
+  opts.cancelled = [] { return true; };
+  auto lin = ComputeLineage(db, q, {}, opts);
+  ASSERT_FALSE(lin.ok());
+  EXPECT_EQ(lin.status().code(), Status::Code::kCancelled);
+
+  // Fires mid-join: grounding stops at the poll that sees it.
+  size_t polls = 0;
+  opts.cancelled = [&polls] { return ++polls == 5; };
+  lin = ComputeLineage(db, q, {}, opts);
+  ASSERT_FALSE(lin.ok());
+  EXPECT_EQ(lin.status().code(), Status::Code::kCancelled);
+  EXPECT_EQ(polls, 5u);
+
+  // Never fires: the same lineage as without a callback.
+  opts.cancelled = [] { return false; };
+  lin = ComputeLineage(db, q, {}, opts);
+  ASSERT_TRUE(lin.ok());
+  ASSERT_EQ(lin->answers.size(), 1u);
+  EXPECT_EQ(lin->answers[0].terms.size(), 200u * 200u);
+}
+
 TEST(LineageTest, MaxLineageSize) {
   auto q = Q("q(z) :- R(z,x), S(x)");
   Database db;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -509,6 +510,33 @@ TEST(EngineTraceTest, PrometheusDumpCoversEngineSchedulerAndScans) {
   EXPECT_EQ(stats.queries, 2u);
   EXPECT_EQ(stats.batch_queries, 2u);
   EXPECT_GT(stats.tasks_executed, 0u);
+}
+
+TEST(EngineTraceTest, AnytimeDeadlineOverrunIsExported) {
+  Database db = RstDatabase();
+  QueryEngine engine = QueryEngine::Borrow(db);
+  auto prepared = engine.Prepare("q() :- R(x), S(x,y), T(y)");  // unsafe
+  ASSERT_TRUE(prepared.ok());
+  GuaranteeSpec spec;
+  spec.epsilon = 1e-12;
+  spec.deadline = std::chrono::nanoseconds(1);  // expires during the bounds
+  auto hit = engine.RunWithGuarantees(*prepared, {}, spec);
+  ASSERT_TRUE(hit.ok());
+  ASSERT_TRUE(hit->deadline_hit);
+  spec.deadline = std::chrono::nanoseconds(0);  // no deadline: not recorded
+  auto unbounded = engine.RunWithGuarantees(*prepared, {}, spec);
+  ASSERT_TRUE(unbounded.ok());
+  ASSERT_FALSE(unbounded->deadline_hit);
+
+  auto overrun = engine.metrics()
+                     .histogram("engine.anytime.deadline_overrun_ns")
+                     ->Snapshot();
+  EXPECT_EQ(overrun.count, 1u);
+  EXPECT_GT(overrun.sum, 0u);  // the bounds ran past the 1 ns deadline
+  const std::string text = engine.metrics().PrometheusText();
+  EXPECT_NE(text.find("dissodb_engine_anytime_deadline_overrun_ns_count 1\n"),
+            std::string::npos)
+      << text;
 }
 
 TEST(EngineTraceTest, SchedulerQueueWaitHistogramsPopulate) {
