@@ -41,7 +41,7 @@ int main() {
       int64_t suppliers =
           static_cast<int64_t>((*db.GetTable("Supplier"))->NumRows());
       auto sel = MakeTpchSelections(db, suppliers, "%red%");
-      auto lineage = ComputeLineage(db, q, (*sel)->overrides);
+      auto lineage = ComputeLineage(db.snapshot(), q, (*sel)->overrides);
       if (!lineage.ok()) continue;
       auto exact = ExactFromLineage(*lineage);
       if (!exact.ok()) continue;

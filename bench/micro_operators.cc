@@ -30,8 +30,9 @@ void BM_ScanAtom(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   Database* db = ChainDb(2, n);
   ConjunctiveQuery q = MakeChainQuery(2);
+  const Snapshot snap = db->snapshot();
   for (auto _ : state) {
-    auto rel = ScanAtom(*db, q, 0);
+    auto rel = ScanAtom(snap, q, 0);
     benchmark::DoNotOptimize(rel->NumRows());
   }
   state.SetItemsProcessed(state.iterations() * n);
@@ -42,8 +43,9 @@ void BM_HashJoin(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   Database* db = ChainDb(2, n);
   ConjunctiveQuery q = MakeChainQuery(2);
-  auto left = ScanAtom(*db, q, 0);
-  auto right = ScanAtom(*db, q, 1);
+  const Snapshot snap = db->snapshot();
+  auto left = ScanAtom(snap, q, 0);
+  auto right = ScanAtom(snap, q, 1);
   for (auto _ : state) {
     Rel out = HashJoin(*left, *right);
     benchmark::DoNotOptimize(out.NumRows());
@@ -56,7 +58,8 @@ void BM_ProjectIndependent(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   Database* db = ChainDb(2, n);
   ConjunctiveQuery q = MakeChainQuery(2);
-  auto rel = ScanAtom(*db, q, 0);
+  const Snapshot snap = db->snapshot();
+  auto rel = ScanAtom(snap, q, 0);
   VarMask keep = MaskOf(q.FindVar("x0"));
   for (auto _ : state) {
     Rel out = ProjectIndependent(*rel, keep);
@@ -152,8 +155,9 @@ BENCHMARK(BM_EngineCachedQuery)->Arg(1000)->Arg(10000);
 double MeasureScanMs(size_t n) {
   Database* db = ChainDb(2, n);
   ConjunctiveQuery q = MakeChainQuery(2);
+  const Snapshot snap = db->snapshot();
   return TimeMs([&] {
-    auto rel = ScanAtom(*db, q, 0);
+    auto rel = ScanAtom(snap, q, 0);
     benchmark::DoNotOptimize(rel->NumRows());
   });
 }
@@ -161,8 +165,9 @@ double MeasureScanMs(size_t n) {
 double MeasureJoinMs(size_t n) {
   Database* db = ChainDb(2, n);
   ConjunctiveQuery q = MakeChainQuery(2);
-  auto left = ScanAtom(*db, q, 0);
-  auto right = ScanAtom(*db, q, 1);
+  const Snapshot snap = db->snapshot();
+  auto left = ScanAtom(snap, q, 0);
+  auto right = ScanAtom(snap, q, 1);
   return TimeMs([&] {
     Rel out = HashJoin(*left, *right);
     benchmark::DoNotOptimize(out.NumRows());
@@ -172,7 +177,8 @@ double MeasureJoinMs(size_t n) {
 double MeasureProjectMs(size_t n) {
   Database* db = ChainDb(2, n);
   ConjunctiveQuery q = MakeChainQuery(2);
-  auto rel = ScanAtom(*db, q, 0);
+  const Snapshot snap = db->snapshot();
+  auto rel = ScanAtom(snap, q, 0);
   VarMask keep = MaskOf(q.FindVar("x0"));
   return TimeMs([&] {
     Rel out = ProjectIndependent(*rel, keep);
@@ -197,7 +203,8 @@ double MeasureProjectBooleanMs(size_t n) {
   // complement-product accumulator's fast path.
   Database* db = ChainDb(2, n);
   ConjunctiveQuery q = MakeChainQuery(2);
-  auto rel = ScanAtom(*db, q, 0);
+  const Snapshot snap = db->snapshot();
+  auto rel = ScanAtom(snap, q, 0);
   return TimeMs([&] {
     Rel out = ProjectIndependent(*rel, 0);
     benchmark::DoNotOptimize(out.NumRows());

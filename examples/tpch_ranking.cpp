@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
 
   // Lineage, exact ground truth and MC.
   timer.Reset();
-  auto lineage = ComputeLineage(db, q, overrides);
+  auto lineage = ComputeLineage(db.snapshot(), q, overrides);
   double t_lin = timer.ElapsedMillis();
   std::printf("lineage query: %.1f ms, max lineage size = %zu\n", t_lin,
               MaxLineageSize(*lineage));

@@ -8,9 +8,9 @@
 //      over obliviously rescaled weights give lower bounds
 //      (src/anytime/lower_bound.h). Every answer now carries [lower, upper].
 //   3. Guarantees requested and not yet met?  Ground the lineage once
-//      (snapshot-consistent: every atom overridden with its pinned table),
-//      then refine in rounds: interval ranking picks only the answers whose
-//      intervals still contest a rank boundary or exceed the width budget
+//      against the pinned snapshot, then refine in rounds: interval
+//      ranking picks only the answers whose intervals still contest a rank
+//      boundary or exceed the width budget
 //      (src/anytime/interval_rank.h); an answer's DNF is built when it is
 //      first refined, then it gets exact WMC when its lineage fits the
 //      per-call budget, else an incremental MC batch. Rounds run as
@@ -41,7 +41,6 @@
 #include "src/obs/trace.h"
 #include "src/query/cq.h"
 #include "src/serve/scheduler.h"
-#include "src/storage/database.h"
 #include "src/storage/snapshot.h"
 
 namespace dissodb {
@@ -52,9 +51,6 @@ namespace dissodb {
 /// outlive the call.
 struct AnytimeInput {
   Snapshot snap;
-  /// Grounding shim for ComputeLineage's signature only — every atom is
-  /// overridden with its snapshot table, so the live head is never read.
-  const Database* db = nullptr;
   const ConjunctiveQuery* query = nullptr;
   const CompiledPlans* compiled = nullptr;
   AtomOverrides overrides;

@@ -228,29 +228,9 @@ Result<PreparedQuery> QueryEngine::Prepare(std::string_view query_text) {
 Result<PreparedQuery> QueryEngine::Prepare(const ConjunctiveQuery& q) {
   auto impl = std::make_shared<PreparedQuery::Impl>();
   impl->original = q;
-  if (opts_.canonicalize) {
-    auto canon = CanonicalizeQuery(q);
-    if (!canon.ok()) return canon.status();
-    impl->canon = std::move(*canon);
-  } else {
-    // Legacy mode: plans are compiled in the caller's variable space and
-    // the caller's body order.
-    CanonicalizedQuery id;
-    id.query = q;
-    id.orig_to_canon.resize(q.num_vars());
-    id.canon_to_orig.resize(q.num_vars());
-    for (VarId v = 0; v < q.num_vars(); ++v) {
-      id.orig_to_canon[v] = v;
-      id.canon_to_orig[v] = v;
-    }
-    id.atom_orig_to_canon.resize(q.num_atoms());
-    id.atom_canon_to_orig.resize(q.num_atoms());
-    for (int i = 0; i < q.num_atoms(); ++i) {
-      id.atom_orig_to_canon[i] = i;
-      id.atom_canon_to_orig[i] = i;
-    }
-    impl->canon = std::move(id);
-  }
+  auto canon = CanonicalizeQuery(q);
+  if (!canon.ok()) return canon.status();
+  impl->canon = std::move(*canon);
   impl->share_results = !HasUnknownStringConstants(impl->canon.query);
   impl->cache_key = CacheKey(impl->canon.query, opts_.propagation);
 
@@ -660,7 +640,6 @@ Result<AnytimeResult> QueryEngine::RunWithGuarantees(
 
   AnytimeInput input;
   input.snap = db_->snapshot();
-  input.db = db_.get();
   input.query = req.exec_q;
   input.compiled = impl.compiled.get();
   input.overrides = std::move(req.overrides);

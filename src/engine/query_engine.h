@@ -98,11 +98,6 @@ struct EngineOptions {
   /// Max entries rolled forward per commit, hottest (most recently used)
   /// first; the rest fall to the sweep.
   size_t delta_maintain_limit = 64;
-  /// Canonicalize variable ids at Prepare time so isomorphic queries share
-  /// plans and cached results. Off = legacy behavior (plans compiled in
-  /// the caller's variable space); used by differential tests and the
-  /// micro_prepared baseline comparison.
-  bool canonicalize = true;
   /// Worker threads for Submit / batches / morsel-parallel operators;
   /// 0 = hardware concurrency. The pool starts lazily on first use.
   int num_threads = 0;
@@ -125,8 +120,8 @@ struct EngineStats {
   size_t canonical_remaps = 0;
   /// Plan-cache hits that only exist because of canonicalization: the
   /// hitting query's original spelling differs from the spelling that
-  /// installed the entry, so the legacy (un-canonicalized) cache key would
-  /// have missed.
+  /// installed the entry, so an un-canonicalized cache key would have
+  /// missed.
   size_t canonical_remap_hits = 0;
   size_t result_cache_hits = 0;
   size_t result_cache_misses = 0;  ///< actual computations (leaders)

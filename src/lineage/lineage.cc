@@ -62,7 +62,7 @@ Status GroundingCancelled() {
 }  // namespace
 
 Result<LineageResult> ComputeLineage(
-    const Database& db, const ConjunctiveQuery& q,
+    const Snapshot& snap, const ConjunctiveQuery& q,
     const std::unordered_map<int, const Table*>& overrides,
     const LineageOptions& opts) {
   const int m = q.num_atoms();
@@ -85,7 +85,7 @@ Result<LineageResult> ComputeLineage(
     if (oit != overrides.end()) {
       table = oit->second;
     } else {
-      auto t = db.GetTable(a.relation);
+      auto t = snap.GetTable(a.relation);
       if (!t.ok()) return t.status();
       table = *t;
     }

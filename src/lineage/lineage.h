@@ -54,13 +54,22 @@ struct LineageOptions {
   std::function<bool()> cancelled;
 };
 
-/// Grounds q on db: the full lineage of every answer. `overrides` rebinds
-/// atoms to filtered tables (pointers must outlive the result's row ids'
-/// use).
+/// Grounds q on the pinned snapshot: the full lineage of every answer.
+/// `overrides` rebinds atoms to filtered tables (pointers must outlive the
+/// result's row ids' use).
 Result<LineageResult> ComputeLineage(
-    const Database& db, const ConjunctiveQuery& q,
+    const Snapshot& snap, const ConjunctiveQuery& q,
     const std::unordered_map<int, const Table*>& overrides = {},
     const LineageOptions& opts = {});
+
+/// Grounds q on a snapshot acquired now. Kept for e2e_bench/src/harness.cc,
+/// which calls it with a Database.
+inline Result<LineageResult> ComputeLineage(
+    const Database& db, const ConjunctiveQuery& q,
+    const std::unordered_map<int, const Table*>& overrides = {},
+    const LineageOptions& opts = {}) {
+  return ComputeLineage(db.snapshot(), q, overrides, opts);
+}
 
 }  // namespace dissodb
 

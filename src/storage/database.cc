@@ -44,10 +44,7 @@ Snapshot Database::snapshot() const {
   // through it every sealed chunk) by shared_ptr — no payload is touched.
   // The copy decouples the snapshot from the live head: later mutations
   // copy-on-write-detach inside the live tables and never reach these.
-  // States are rebuilt per acquisition rather than cached so that rows
-  // loaded through a retained CreateTable()/mutable_table() pointer (the
-  // seed loading pattern, which bumps no version) stay visible to the
-  // next snapshot; the name index and string pool are shared, not copied.
+  // The name index and string pool are shared, not copied.
   std::vector<std::shared_ptr<const Table>> tables;
   tables.reserve(tables_.size());
   for (const auto& t : tables_) {
@@ -157,16 +154,21 @@ int Database::Writer::FindTable(const std::string& name) const {
 
 uint64_t Database::Writer::Commit() {
   Database* db = std::exchange(db_, nullptr);
+  if (staged_.empty() && added_.empty()) {
+    // Nothing staged: the state is unchanged, so there is no version to
+    // publish and nothing for commit hooks (cache sweeps) to react to.
+    base_ = Snapshot();
+    lock_.unlock();
+    return db->version();
+  }
   const auto t0 = std::chrono::steady_clock::now();
   // Append-only detection: every staged table must have changed by row
   // appends alone — overwrite epoch untouched (no SetProb / rescale) and
   // row count non-decreasing. Newly added tables don't disqualify the
   // commit (no earlier-cached plan can reference them) but contribute no
-  // delta. An empty commit (legacy mutable_table shim) is conservatively
-  // NOT append-only: the caller is about to mutate the live head outside
-  // any transaction, so caches must invalidate.
+  // delta.
   CommitInfo info;
-  info.append_only = !staged_.empty() || !added_.empty();
+  info.append_only = true;
   for (const auto& [idx, t] : staged_) {
     const StagedBase& b = staged_base_.at(idx);
     if (t->overwrite_epoch() != b.epoch || t->NumRows() < b.rows) {
@@ -218,9 +220,9 @@ uint64_t Database::Publish(
     const std::vector<std::pair<std::string, std::shared_ptr<Table>>>& added) {
   std::lock_guard lock(state_mu_);
   for (const auto& [idx, t] : staged) {
-    // Shallow assignment: the live Table object keeps its address (legacy
-    // pointers stay valid) and adopts the staged columns; previously
-    // acquired snapshots hold their own copies and are unaffected.
+    // Shallow assignment: the live table adopts the staged columns;
+    // previously acquired snapshots hold their own copies and are
+    // unaffected.
     *tables_[idx] = *t;
   }
   if (!added.empty()) {
@@ -267,7 +269,7 @@ void Database::RunCommitHooks(const CommitInfo& info) const {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy mutation shims
+// Mutation conveniences
 // ---------------------------------------------------------------------------
 
 Result<int> Database::AddTable(Table table) {
@@ -276,25 +278,6 @@ Result<int> Database::AddTable(Table table) {
   if (!r.ok()) return r;  // destructor aborts
   w.Commit();
   return r;
-}
-
-Result<Table*> Database::CreateTable(RelationSchema schema) {
-  auto r = AddTable(Table(std::move(schema)));
-  if (!r.ok()) return r.status();
-  std::lock_guard lock(state_mu_);
-  return tables_[*r].get();
-}
-
-Table* Database::mutable_table(int idx) {
-  {
-    // Opens-and-commits an empty writer: bumps the version (conservatively
-    // invalidating version-stamped caches, as the seed behavior did) and
-    // fires commit hooks. The returned pointer itself is the unsynchronized
-    // legacy escape hatch — see the header.
-    Writer w = BeginWrite();
-    w.Commit();
-  }
-  return tables_[idx].get();
 }
 
 void Database::ScaleProbabilities(double f) {

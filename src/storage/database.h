@@ -21,14 +21,11 @@
 //   writer stages and commits: a held snapshot returns bit-identical
 //   results across commits (the CI tsan job asserts this).
 //
-// Legacy surface: the const read accessors (table(), GetTable(), ...)
-// read the live head and remain valid for single-threaded use; each
-// structured mutation entry point (AddTable, CreateTable,
-// ScaleProbabilities) is a shim that opens a writer, applies the one
-// mutation, and commits. mutable_table() is deprecated: it hands out a
-// raw pointer into the live head, which cannot be reconciled with
-// concurrent readers — migrate to BeginWrite() (see README "Snapshots &
-// concurrent serving").
+// Convenience surface: the const read accessors (table(), GetTable(), ...)
+// read the live head and are meant for single-threaded setup and display;
+// query execution reads snapshots. AddTable and ScaleProbabilities each
+// open a writer, apply the one mutation, and commit. Every other mutation
+// goes through BeginWrite() (see README "Snapshots & concurrent serving").
 #ifndef DISSODB_STORAGE_DATABASE_H_
 #define DISSODB_STORAGE_DATABASE_H_
 
@@ -165,8 +162,10 @@ class Database {
 
     /// Publishes every staged change atomically: the live head and the
     /// next snapshot see all of them, previously acquired snapshots none.
-    /// Bumps and returns the new data version, then runs commit hooks.
-    /// The writer is finished afterwards (only Abort()/destruction legal).
+    /// Bumps and returns the new data version, then runs commit hooks. A
+    /// writer that staged nothing publishes nothing: it returns the current
+    /// version and runs no hooks. The writer is finished afterwards (only
+    /// Abort()/destruction legal).
     uint64_t Commit();
 
     /// Discards staged changes; the writer is finished afterwards.
@@ -195,39 +194,24 @@ class Database {
   /// Opens a writer transaction; blocks while another writer is open.
   Writer BeginWrite();
 
-  /// Commit hooks run after every successful Commit() (and after each
-  /// legacy mutation shim), outside the publish lock, with the committed
-  /// version and its append-only delta description (see CommitInfo). The
-  /// serving layer uses them to delta-maintain or sweep version-stale
-  /// cache entries. Returns a token for UnregisterCommitHook, which is
-  /// synchronizing: once it returns, no invocation of the hook is in
-  /// flight (hooks run under the hook lock — they must not (un)register
-  /// hooks or open writers on this database). Const because observing
-  /// commits does not mutate data.
+  /// Commit hooks run after every Commit() that published a new version,
+  /// outside the publish lock, with the committed version and its
+  /// append-only delta description (see CommitInfo). The serving layer
+  /// uses them to delta-maintain or sweep version-stale cache entries.
+  /// Returns a token for UnregisterCommitHook, which is synchronizing: once
+  /// it returns, no invocation of the hook is in flight (hooks run under
+  /// the hook lock — they must not (un)register hooks or open writers on
+  /// this database). Const because observing commits does not mutate data.
   using CommitHook = std::function<void(const CommitInfo&)>;
   int RegisterCommitHook(CommitHook hook) const;
   void UnregisterCommitHook(int token) const;
 
   // -------------------------------------------------------------------------
-  // Legacy mutation shims (single-writer convenience; each opens and
-  // commits a Writer internally)
+  // Mutation conveniences (each opens and commits a Writer internally)
   // -------------------------------------------------------------------------
 
   /// Adds a table; fails if the name already exists. Returns its index.
   Result<int> AddTable(Table table);
-
-  /// Creates an empty table with `schema` and returns a pointer to the
-  /// live table. NOTE: rows added through the returned pointer do not bump
-  /// the version; take snapshots (or run queries) only after loading
-  /// finishes, exactly like the seed behavior.
-  Result<Table*> CreateTable(RelationSchema schema);
-
-  /// DEPRECATED: raw mutable access to the live table. Opens-and-commits
-  /// an empty writer (bumping the version so caches invalidate
-  /// conservatively, and firing commit hooks) before handing out the
-  /// pointer. Mutations through the pointer race concurrent snapshot
-  /// acquisition — not safe for concurrent serving; use BeginWrite().
-  Table* mutable_table(int idx);
 
   /// Scales all probabilistic tables by `f` (Figure 5n-5p experiments).
   void ScaleProbabilities(double f);
@@ -240,9 +224,10 @@ class Database {
   int NumTables() const { return static_cast<int>(tables_.size()); }
   const Table& table(int idx) const { return *tables_[idx]; }
 
-  /// Monotonic data version: bumped by every commit (including the legacy
-  /// mutation shims). Snapshots carry the version they pinned; the serving
-  /// layer's ResultCache stamps cached relations with it.
+  /// Monotonic data version: bumped by every commit that staged a change
+  /// (including the mutation conveniences). Snapshots carry the version
+  /// they pinned; the serving layer's ResultCache stamps cached relations
+  /// with it.
   uint64_t version() const {
     return version_.load(std::memory_order_acquire);
   }
@@ -250,13 +235,6 @@ class Database {
   /// Index of table `name`, or -1.
   int FindTable(const std::string& name) const;
   Result<const Table*> GetTable(const std::string& name) const;
-
-  double TupleProb(TupleId id) const {
-    return tables_[id.table]->Prob(id.row);
-  }
-  bool TupleDeterministic(TupleId id) const {
-    return tables_[id.table]->schema().deterministic;
-  }
 
   StringPool* strings() { return strings_.get(); }
   const StringPool& strings() const { return *strings_; }

@@ -13,8 +13,10 @@
 // bit-identical no matter how many commits happen concurrently.
 //
 // All engine read paths (ScanAtom, PlanEvaluator, SemiJoinReduce,
-// QueryEngine::Execute/Submit) run against `const Snapshot&`; the
-// `const Database&` overloads are thin shims that acquire one internally.
+// EvaluateDeterministic, ComputeLineage, QueryEngine::Execute/Submit) run
+// against `const Snapshot&`. Paper-facing helpers that take a
+// `const Database&` (PlanScore, PropagationScore, ExactProbabilities, ...)
+// acquire one snapshot up front and read only it.
 //
 // Lifetime: a Snapshot owns everything it exposes (tables, string pool),
 // so it may outlive the Database it came from. The live-version registry

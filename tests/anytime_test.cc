@@ -375,7 +375,7 @@ TEST(AnytimeTest, DeadlineStopsALongExactWmcTask) {
 
   // Uncancelled, exact WMC of one answer runs well past the bound asserted
   // below (it is exponential in 20): stop it after 1 s to show as much.
-  auto lineage = ComputeLineage(db, q);
+  auto lineage = ComputeLineage(db.snapshot(), q);
   ASSERT_TRUE(lineage.ok());
   ASSERT_EQ(lineage->answers.size(), 4u);
   const auto stop = std::chrono::steady_clock::now() + std::chrono::seconds(1);

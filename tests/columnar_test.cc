@@ -59,7 +59,7 @@ TEST(ColumnarTest, ScanSharesTableColumnsZeroCopy) {
   Database db;
   AddTable(&db, "R", 2, {{{1, 2}, 0.5}, {{3, 4}, 0.25}});
   ConjunctiveQuery q = Q("q(x,y) :- R(x,y)");
-  auto rel = ScanAtom(db, q, 0);
+  auto rel = ScanAtom(db.snapshot(), q, 0);
   ASSERT_TRUE(rel.ok());
   const Table* t = *db.GetTable("R");
   // Unfiltered scan: the Rel references the very same column objects.
@@ -72,7 +72,7 @@ TEST(ColumnarTest, CopyOnWriteLeavesSharedColumnsIntact) {
   Database db;
   AddTable(&db, "R", 1, {{{1}, 0.5}, {{2}, 0.25}});
   ConjunctiveQuery q = Q("q(x) :- R(x)");
-  auto rel = ScanAtom(db, q, 0);
+  auto rel = ScanAtom(db.snapshot(), q, 0);
   ASSERT_TRUE(rel.ok());
   Rel copy = *rel;  // shallow
   EXPECT_EQ(copy.col(0).get(), rel->col(0).get());
@@ -260,7 +260,7 @@ TEST(ChunkedColumnTest, ReserveIsANoOpOnSharedColumnsWithoutGrowth) {
   Database db;
   AddTable(&db, "R", 1, {{{1}, 0.5}, {{2}, 0.25}});
   ConjunctiveQuery q = Q("q(x) :- R(x)");
-  auto rel = ScanAtom(db, q, 0);
+  auto rel = ScanAtom(db.snapshot(), q, 0);
   ASSERT_TRUE(rel.ok());
   const Table* t = *db.GetTable("R");
   ASSERT_EQ(rel->col(0).get(), t->col(0).get());

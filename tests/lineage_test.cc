@@ -1,6 +1,8 @@
 // Tests for lineage grounding (Example 7) and derived statistics.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/infer/exact.h"
 #include "src/infer/query_inference.h"
 #include "src/lineage/lineage.h"
@@ -19,7 +21,7 @@ TEST(LineageTest, Example7Lineage) {
   Database db;
   AddTable(&db, "R", 1, {{{1}, 0.5}, {{2}, 0.6}});
   AddTable(&db, "S", 2, {{{1, 4}, 0.4}, {{1, 5}, 0.3}});
-  auto lin = ComputeLineage(db, q);
+  auto lin = ComputeLineage(db.snapshot(), q);
   ASSERT_TRUE(lin.ok()) << lin.status().ToString();
   ASSERT_EQ(lin->answers.size(), 1u);
   const AnswerLineage& al = lin->answers[0];
@@ -37,7 +39,7 @@ TEST(LineageTest, PerAnswerGrouping) {
   Database db;
   AddTable(&db, "R", 2, {{{10, 1}, 0.5}, {{10, 2}, 0.5}, {{20, 1}, 0.5}});
   AddTable(&db, "S", 1, {{{1}, 0.5}, {{2}, 0.5}});
-  auto lin = ComputeLineage(db, q);
+  auto lin = ComputeLineage(db.snapshot(), q);
   ASSERT_TRUE(lin.ok());
   ASSERT_EQ(lin->answers.size(), 2u);
   // Ordered by answer tuple: z=10 first with 2 terms, then z=20 with 1.
@@ -52,7 +54,7 @@ TEST(LineageTest, DeterministicTuplesDroppedFromDnf) {
   Database db;
   AddTable(&db, "R", 1, {{{1}, 0.5}});
   AddTable(&db, "T", 1, {{{1}, 1.0}}, /*deterministic=*/true);
-  auto lin = ComputeLineage(db, q);
+  auto lin = ComputeLineage(db.snapshot(), q);
   ASSERT_TRUE(lin.ok());
   ASSERT_EQ(lin->answers.size(), 1u);
   Dnf f = lin->ToDnf(lin->answers[0]);
@@ -67,7 +69,7 @@ TEST(LineageTest, ConstantsRestrictGrounding) {
   auto q = Q("q() :- R(x, 5)");
   Database db;
   AddTable(&db, "R", 2, {{{1, 5}, 0.5}, {{2, 6}, 0.5}});
-  auto lin = ComputeLineage(db, q);
+  auto lin = ComputeLineage(db.snapshot(), q);
   ASSERT_TRUE(lin.ok());
   ASSERT_EQ(lin->answers.size(), 1u);
   EXPECT_EQ(lin->answers[0].terms.size(), 1u);
@@ -78,7 +80,7 @@ TEST(LineageTest, NoAnswersWhenJoinEmpty) {
   Database db;
   AddTable(&db, "R", 1, {{{1}, 0.5}});
   AddTable(&db, "S", 1, {{{2}, 0.5}});
-  auto lin = ComputeLineage(db, q);
+  auto lin = ComputeLineage(db.snapshot(), q);
   ASSERT_TRUE(lin.ok());
   EXPECT_TRUE(lin->answers.empty());
 }
@@ -89,7 +91,7 @@ TEST(LineageTest, OverridesRebindTables) {
   AddTable(&db, "R", 1, {{{1}, 0.5}, {{2}, 0.5}});
   Table filtered(RelationSchema::AllInt64("R", 1));
   filtered.AddRow({Value::Int64(2)}, 0.5);
-  auto lin = ComputeLineage(db, q, {{0, &filtered}});
+  auto lin = ComputeLineage(db.snapshot(), q, {{0, &filtered}});
   ASSERT_TRUE(lin.ok());
   ASSERT_EQ(lin->answers.size(), 1u);
   EXPECT_EQ(lin->answers[0].terms.size(), 1u);
@@ -104,7 +106,7 @@ TEST(LineageTest, GuardOnBlowup) {
   AddTable(&db, "S", 1, rows);
   LineageOptions opts;
   opts.max_total_terms = 1000;  // 200*200 exceeds this
-  auto lin = ComputeLineage(db, q, {}, opts);
+  auto lin = ComputeLineage(db.snapshot(), q, {}, opts);
   EXPECT_FALSE(lin.ok());
   EXPECT_EQ(lin.status().code(), Status::Code::kOutOfRange);
 }
@@ -118,21 +120,21 @@ TEST(LineageTest, CancellationReturnsCancelled) {
   AddTable(&db, "S", 1, rows);
   LineageOptions opts;
   opts.cancelled = [] { return true; };
-  auto lin = ComputeLineage(db, q, {}, opts);
+  auto lin = ComputeLineage(db.snapshot(), q, {}, opts);
   ASSERT_FALSE(lin.ok());
   EXPECT_EQ(lin.status().code(), Status::Code::kCancelled);
 
   // Fires mid-join: grounding stops at the poll that sees it.
   size_t polls = 0;
   opts.cancelled = [&polls] { return ++polls == 5; };
-  lin = ComputeLineage(db, q, {}, opts);
+  lin = ComputeLineage(db.snapshot(), q, {}, opts);
   ASSERT_FALSE(lin.ok());
   EXPECT_EQ(lin.status().code(), Status::Code::kCancelled);
   EXPECT_EQ(polls, 5u);
 
   // Never fires: the same lineage as without a callback.
   opts.cancelled = [] { return false; };
-  lin = ComputeLineage(db, q, {}, opts);
+  lin = ComputeLineage(db.snapshot(), q, {}, opts);
   ASSERT_TRUE(lin.ok());
   ASSERT_EQ(lin->answers.size(), 1u);
   EXPECT_EQ(lin->answers[0].terms.size(), 200u * 200u);
@@ -143,7 +145,7 @@ TEST(LineageTest, MaxLineageSize) {
   Database db;
   AddTable(&db, "R", 2, {{{10, 1}, 0.5}, {{10, 2}, 0.5}, {{20, 1}, 0.5}});
   AddTable(&db, "S", 1, {{{1}, 0.5}, {{2}, 0.5}});
-  auto lin = ComputeLineage(db, q);
+  auto lin = ComputeLineage(db.snapshot(), q);
   ASSERT_TRUE(lin.ok());
   EXPECT_EQ(MaxLineageSize(*lin), 2u);
 }
@@ -153,7 +155,7 @@ TEST(LineageTest, LineageSizeRankingOrdersBySize) {
   Database db;
   AddTable(&db, "R", 2, {{{10, 1}, 0.5}, {{10, 2}, 0.5}, {{20, 1}, 0.5}});
   AddTable(&db, "S", 1, {{{1}, 0.5}, {{2}, 0.5}});
-  auto lin = ComputeLineage(db, q);
+  auto lin = ComputeLineage(db.snapshot(), q);
   ASSERT_TRUE(lin.ok());
   auto ranking = LineageSizeRanking(*lin);
   ASSERT_EQ(ranking.size(), 2u);
@@ -167,7 +169,7 @@ TEST(LineageTest, MeanDistinctTuplesOfAtom) {
   Database db;
   AddTable(&db, "R", 1, {{{1}, 0.5}});
   AddTable(&db, "S", 2, {{{1, 4}, 0.5}, {{1, 5}, 0.5}});
-  auto lin = ComputeLineage(db, q);
+  auto lin = ComputeLineage(db.snapshot(), q);
   ASSERT_TRUE(lin.ok());
   ASSERT_EQ(lin->answers.size(), 1u);
   // Atom 0 (R): one distinct tuple in 2 terms -> mean 2.0 copies.
@@ -176,11 +178,51 @@ TEST(LineageTest, MeanDistinctTuplesOfAtom) {
   EXPECT_DOUBLE_EQ(lin->MeanDistinctTuplesOfAtom(lin->answers[0], 1), 1.0);
 }
 
+TEST(LineageTest, GroundsThePinnedSnapshotNotLaterCommits) {
+  auto q = Q("q(z) :- R(z,x), S(x)");
+  Database db;
+  AddTable(&db, "R", 2, {{{10, 1}, 0.5}, {{20, 2}, 0.6}});
+  AddTable(&db, "S", 1, {{{1}, 0.7}, {{2}, 0.8}});
+  Snapshot snap = db.snapshot();
+  auto before = ComputeLineage(snap, q);
+  ASSERT_TRUE(before.ok());
+  ASSERT_EQ(before->answers.size(), 2u);
+
+  // The appended row R(30,1) joins S(1): a new answer z=30.
+  {
+    Database::Writer w = db.BeginWrite();
+    w.AppendRow(0, std::vector<Value>{Value::Int64(30), Value::Int64(1)},
+                0.9);
+    w.Commit();
+  }
+
+  auto pinned = ComputeLineage(snap, q);
+  ASSERT_TRUE(pinned.ok());
+  ASSERT_EQ(pinned->answers.size(), before->answers.size());
+  for (size_t i = 0; i < pinned->answers.size(); ++i) {
+    EXPECT_EQ(pinned->answers[i].answer, before->answers[i].answer);
+    EXPECT_EQ(pinned->answers[i].terms, before->answers[i].terms);
+  }
+  ASSERT_EQ(pinned->tuples.size(), before->tuples.size());
+  for (size_t i = 0; i < pinned->tuples.size(); ++i) {
+    EXPECT_EQ(pinned->tuples[i].atom_idx, before->tuples[i].atom_idx);
+    EXPECT_EQ(pinned->tuples[i].row, before->tuples[i].row);
+    EXPECT_EQ(pinned->tuples[i].prob, before->tuples[i].prob);
+  }
+
+  // The Database forwarder grounds a snapshot acquired at the call.
+  auto live = ComputeLineage(db, q);
+  ASSERT_TRUE(live.ok());
+  ASSERT_EQ(live->answers.size(), 3u);
+  EXPECT_EQ(live->answers[2].answer, std::vector<Value>{Value::Int64(30)});
+  EXPECT_EQ(live->answers[2].terms.size(), 1u);
+}
+
 TEST(LineageTest, BooleanQuerySingleAnswer) {
   auto q = Q("q() :- R(x)");
   Database db;
   AddTable(&db, "R", 1, {{{1}, 0.5}, {{2}, 0.5}});
-  auto lin = ComputeLineage(db, q);
+  auto lin = ComputeLineage(db.snapshot(), q);
   ASSERT_TRUE(lin.ok());
   ASSERT_EQ(lin->answers.size(), 1u);
   EXPECT_TRUE(lin->answers[0].answer.empty());

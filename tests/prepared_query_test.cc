@@ -5,12 +5,16 @@
 // acceptance criteria.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <future>
 #include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
 
+#include "src/dissociation/minimal_plans.h"
+#include "src/dissociation/propagation.h"
 #include "src/engine/query_engine.h"
 #include "src/lift/safe_plan.h"
 #include "src/query/canonicalize.h"
@@ -31,9 +35,39 @@ void ExpectSameRankings(const std::vector<RankedAnswer>& a,
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].tuple, b[i].tuple) << what << " row " << i;
     // Bit-identical: the canonical path must perform the same
-    // floating-point operations in the same order as the legacy path.
-    EXPECT_EQ(a[i].score, b[i].score) << what << " row " << i;
+    // floating-point operations in the same order as the reference.
+    EXPECT_EQ(std::bit_cast<uint64_t>(a[i].score),
+              std::bit_cast<uint64_t>(b[i].score))
+        << what << " row " << i << ": " << a[i].score << " vs " << b[i].score;
   }
+}
+
+/// What the engine should report for `q`, computed directly in the
+/// caller's variable space without the engine: the lifted plan of `q`
+/// itself scored by PlanScore, and the plan count the engine derives from
+/// the same compilation.
+struct DirectReference {
+  std::vector<RankedAnswer> answers;
+  size_t num_minimal_plans = 0;
+};
+
+Result<DirectReference> ComputeDirectReference(const Database& db,
+                                               const ConjunctiveQuery& q) {
+  auto sk = SchemaKnowledge::FromSnapshot(q, db.snapshot());
+  if (!sk.ok()) return sk.status();
+  auto lifted = lift::CompileSafePlan(q, *sk);
+  if (!lifted.ok()) return lifted.status();
+  DirectReference ref;
+  ref.num_minimal_plans = 1;
+  if (!lifted->exact) {
+    auto plans = EnumerateMinimalPlans(q, *sk);
+    if (!plans.ok()) return plans.status();
+    ref.num_minimal_plans = plans->size();
+  }
+  auto answers = PlanScore(db, q, lifted->plan);
+  if (!answers.ok()) return answers.status();
+  ref.answers = std::move(*answers);
+  return ref;
 }
 
 /// Rebuilds `q` with its variables interned in the order given by `order`
@@ -130,10 +164,10 @@ TEST(PreparedQueryTest, RenamingInvarianceOfPlanFingerprints) {
   }
 }
 
-TEST(PreparedQueryTest, RenamedExecutionMatchesLegacyRunBitExactly) {
+TEST(PreparedQueryTest, RenamedExecutionMatchesDirectReferenceBitExactly) {
   // Differential: prepared execution of a renamed query (evaluated in
-  // canonical space, answers column-remapped) against the un-prepared
-  // legacy path (canonicalize off, evaluated in the caller's space).
+  // canonical space, answers column-remapped) against the lifted plan of
+  // the renamed query itself, scored in the caller's variable space.
   Rng rng(902);
   for (int seed = 0; seed < 40; ++seed) {
     Rng qrng(6200 + seed);
@@ -145,11 +179,7 @@ TEST(PreparedQueryTest, RenamedExecutionMatchesLegacyRunBitExactly) {
         PermuteVars(q, RandomOrder(&rng, q.num_vars()), "z");
     Database db = RandomDatabaseFor(q, &qrng);
 
-    EngineOptions legacy_opts;
-    legacy_opts.canonicalize = false;
-    QueryEngine legacy = QueryEngine::Borrow(db, legacy_opts);
-    auto expected = legacy.Run(renamed);
-
+    auto expected = ComputeDirectReference(db, renamed);
     QueryEngine engine = QueryEngine::Borrow(db);
     auto prepared = engine.Prepare(renamed);
     ASSERT_EQ(expected.ok(), prepared.ok()) << "seed " << seed;
@@ -473,8 +503,7 @@ TEST(PreparedQueryTest, TaggedAtomBindingsKeepResultSharing) {
 }
 
 // Acceptance: a batch of 64 pairwise variable-renamed (isomorphic) chain
-// queries shows the same result-cache sharing as 64 identical copies,
-// while the legacy (un-canonicalized) engine shares nothing.
+// queries shows the same result-cache sharing as 64 identical copies.
 TEST(PreparedQueryTest, IsomorphicBatchSharesLikeIdenticalBatch) {
   ChainSpec spec;
   spec.k = 4;
@@ -493,11 +522,8 @@ TEST(PreparedQueryTest, IsomorphicBatchSharesLikeIdenticalBatch) {
   }
   std::vector<ConjunctiveQuery> identical(kBatch, base);
 
-  auto served = [&](const std::vector<ConjunctiveQuery>& workload,
-                    bool canonicalize) {
-    EngineOptions opts;
-    opts.canonicalize = canonicalize;
-    QueryEngine engine = QueryEngine::Borrow(db, opts);
+  auto served = [&](const std::vector<ConjunctiveQuery>& workload) {
+    QueryEngine engine = QueryEngine::Borrow(db);
     // Warm with a single-query batch so hit counts are deterministic.
     auto warm = engine.RunBatch(std::vector<ConjunctiveQuery>{base});
     EXPECT_TRUE(warm.ok());
@@ -507,32 +533,24 @@ TEST(PreparedQueryTest, IsomorphicBatchSharesLikeIdenticalBatch) {
     return s.result_cache_hits + s.result_cache_in_flight_waits;
   };
 
-  const size_t hits_identical = served(identical, /*canonicalize=*/true);
-  const size_t hits_renamed = served(renamed, /*canonicalize=*/true);
-  const size_t hits_legacy = served(renamed, /*canonicalize=*/false);
+  const size_t hits_identical = served(identical);
+  const size_t hits_renamed = served(renamed);
 
   EXPECT_GT(hits_identical, 0u);
   // Sharing restored: the renamed batch behaves exactly like the identical
   // one (every query keys into the same canonical fingerprints).
   EXPECT_EQ(hits_renamed, hits_identical);
-  // Without canonicalization, sharing only happens when a random renaming
-  // coincidentally reproduces the same variable ids on a subplan — well
-  // under half of the restored sharing (empirically ~0.3x; the exact count
-  // is timing-dependent because a hit at a plan's root skips the lookups
-  // below it).
-  EXPECT_LT(hits_legacy * 2, hits_identical);
 
-  // And the remapped answers are the legacy answers, query by query.
-  EngineOptions legacy_opts;
-  legacy_opts.canonicalize = false;
-  QueryEngine legacy = QueryEngine::Borrow(db, legacy_opts);
+  // And the remapped answers are the direct reference's answers, query by
+  // query.
   QueryEngine engine = QueryEngine::Borrow(db);
   for (int i = 0; i < kBatch; i += 16) {
-    auto expected = legacy.Run(renamed[i]);
+    auto expected = ComputeDirectReference(db, renamed[i]);
     auto got = engine.Run(renamed[i]);
     ASSERT_TRUE(expected.ok() && got.ok());
     ExpectSameRankings(expected->answers, got->answers,
                        "renamed " + std::to_string(i));
+    EXPECT_EQ(expected->num_minimal_plans, got->num_minimal_plans);
   }
 }
 

@@ -1,6 +1,6 @@
 // Snapshot-isolated Database API: immutable snapshots, writer
 // transactions, copy-free chunk pinning, the live-version registry, the
-// legacy shims, and the engine's commit-time stale-result sweep.
+// mutation conveniences, and the engine's commit-time stale-result sweep.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -247,7 +247,7 @@ TEST(SnapshotTest, OldestLiveSnapshotVersionTracksHeldStates) {
   EXPECT_EQ(db.OldestLiveSnapshotVersion(), db.version());
 }
 
-TEST(SnapshotTest, CommitHooksFireOnEveryCommitIncludingLegacyShims) {
+TEST(SnapshotTest, CommitHooksFireOnEveryPublishingCommit) {
   Database db;
   int fired = 0;
   CommitInfo last;
@@ -255,7 +255,7 @@ TEST(SnapshotTest, CommitHooksFireOnEveryCommitIncludingLegacyShims) {
     ++fired;
     last = info;
   });
-  AddTable(&db, "R", 1, {{{1}, 0.5}});  // legacy shim commits
+  AddTable(&db, "R", 1, {{{1}, 0.5}});  // convenience shim commits
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(last.version, db.version());
   // Adding a table is append-only (no pre-existing row changed) but
@@ -274,18 +274,18 @@ TEST(SnapshotTest, CommitHooksFireOnEveryCommitIncludingLegacyShims) {
   EXPECT_EQ(last.deltas[0].first_new_row, 1u);
   EXPECT_EQ(last.deltas[0].new_rows, 1u);
   EXPECT_EQ(last.appended_rows, 1u);
-  (void)db.mutable_table(0);  // deprecated shim opens-commits a writer
-  EXPECT_EQ(fired, 3);
-  // The empty commit guards the raw-pointer escape hatch: the caller is
-  // about to mutate the live head untracked, so caches must invalidate.
-  EXPECT_FALSE(last.append_only);
+  // A writer that staged nothing publishes nothing: same version, no hook.
+  const uint64_t v = db.version();
+  EXPECT_EQ(db.BeginWrite().Commit(), v);
+  EXPECT_EQ(db.version(), v);
+  EXPECT_EQ(fired, 2);
   // Overwrites (SetProb via ScaleProbabilities) are not append-only.
   db.ScaleProbabilities(0.5);
-  EXPECT_EQ(fired, 4);
+  EXPECT_EQ(fired, 3);
   EXPECT_FALSE(last.append_only);
   db.UnregisterCommitHook(token);
   db.ScaleProbabilities(0.5);
-  EXPECT_EQ(fired, 4);
+  EXPECT_EQ(fired, 3);
 }
 
 TEST(SnapshotTest, PinnedSnapshotQueryResultsAreBitIdenticalAcrossCommits) {
@@ -347,6 +347,31 @@ TEST(SnapshotTest, StaleResultEntriesAreSweptOnCommitUnlessSnapshotHeld) {
   EXPECT_EQ(engine.stats().result_cache_entries, 0u);
 }
 
+TEST(SnapshotTest, IdentityRescaleKeepsVersionAndResultCache) {
+  Database db;
+  AddTable(&db, "R", 1, {{{1}, 0.7}});
+  AddTable(&db, "S", 2, {{{1, 10}, 0.9}});
+  AddTable(&db, "T", 1, {{{10}, 0.6}});
+  QueryEngine engine = QueryEngine::Borrow(db);
+  ConjunctiveQuery q = Q("q() :- R(x), S(x,y), T(y)");
+  auto first = engine.RunBatch(std::vector<ConjunctiveQuery>{q});
+  ASSERT_TRUE(first.ok());
+  ASSERT_GT(engine.stats().result_cache_entries, 0u);
+
+  // Scaling by 1 stages nothing, so the commit publishes nothing: no new
+  // version, and no commit hook sweeps the engine's caches.
+  const uint64_t v = db.version();
+  db.ScaleProbabilities(1.0);
+  EXPECT_EQ(db.version(), v);
+  EXPECT_EQ(engine.stats().result_cache_stale_evictions, 0u);
+
+  const size_t hits_before = engine.stats().result_cache_hits;
+  auto again = engine.RunBatch(std::vector<ConjunctiveQuery>{q});
+  ASSERT_TRUE(again.ok());
+  EXPECT_GT(engine.stats().result_cache_hits, hits_before);
+  EXPECT_EQ((*again)[0].answers[0].score, (*first)[0].answers[0].score);
+}
+
 TEST(SnapshotTest, ForeignSnapshotsAreRejected) {
   Database db_a;
   AddTable(&db_a, "R", 1, {{{1}, 0.5}});
@@ -368,13 +393,16 @@ TEST(SnapshotTest, ForeignSnapshotsAreRejected) {
   EXPECT_TRUE(engine.Execute(*prepared, {}, db_a.snapshot()).ok());
 }
 
-TEST(SnapshotTest, LegacyMutableTableStillWorksSingleThreaded) {
+TEST(SnapshotTest, WriterOverwriteBumpsVersionAtCommit) {
   Database db;
   AddTable(&db, "R", 1, {{{1}, 0.5}});
   const uint64_t v0 = db.version();
-  Table* t = db.mutable_table(0);
-  EXPECT_GT(db.version(), v0);  // conservative invalidation bump
-  t->SetProb(0, 0.25);
+  Database::Writer w = db.BeginWrite();
+  w.mutable_table(0)->SetProb(0, 0.25);
+  EXPECT_EQ(db.version(), v0);  // staged, not yet published
+  EXPECT_DOUBLE_EQ(db.table(0).Prob(0), 0.5);
+  EXPECT_EQ(w.Commit(), v0 + 1);
+  EXPECT_EQ(db.version(), v0 + 1);
   EXPECT_DOUBLE_EQ(db.table(0).Prob(0), 0.25);
 }
 
@@ -382,7 +410,11 @@ TEST(SnapshotTest, CloneIsIsolatedFromTheOriginal) {
   Database db;
   AddTable(&db, "R", 1, {{{1}, 0.5}});
   Database copy = db.Clone();
-  copy.mutable_table(0)->SetProb(0, 0.9);
+  {
+    Database::Writer w = copy.BeginWrite();
+    w.mutable_table(0)->SetProb(0, 0.9);
+    w.Commit();
+  }
   EXPECT_DOUBLE_EQ(db.table(0).Prob(0), 0.5);
   EXPECT_DOUBLE_EQ(copy.table(0).Prob(0), 0.9);
 }

@@ -131,15 +131,20 @@ TEST(DatabaseTest, DuplicateTableNameRejected) {
 TEST(DatabaseTest, TupleProbLookup) {
   Database db;
   AddTable(&db, "R", 1, {{{1}, 0.5}, {{2}, 0.75}});
-  EXPECT_DOUBLE_EQ(db.TupleProb(TupleId{0, 1}), 0.75);
-  EXPECT_FALSE(db.TupleDeterministic(TupleId{0, 0}));
+  const Snapshot snap = db.snapshot();
+  EXPECT_DOUBLE_EQ(snap.TupleProb(TupleId{0, 1}), 0.75);
+  EXPECT_FALSE(snap.TupleDeterministic(TupleId{0, 0}));
 }
 
 TEST(DatabaseTest, CloneIsDeep) {
   Database db;
   AddTable(&db, "R", 1, {{{1}, 0.5}});
   Database copy = db.Clone();
-  copy.mutable_table(0)->SetProb(0, 0.9);
+  {
+    Database::Writer w = copy.BeginWrite();
+    w.mutable_table(0)->SetProb(0, 0.9);
+    w.Commit();
+  }
   EXPECT_DOUBLE_EQ(db.table(0).Prob(0), 0.5);
   EXPECT_DOUBLE_EQ(copy.table(0).Prob(0), 0.9);
 }

@@ -145,7 +145,7 @@ TEST(ChainTest, AnswerCountNearTarget) {
   spec.target_answers = 30;
   spec.seed = 99;
   Database db = MakeChainDatabase(spec);
-  auto answers = EvaluateDeterministic(db, MakeChainQuery(3));
+  auto answers = EvaluateDeterministic(db.snapshot(), MakeChainQuery(3));
   ASSERT_TRUE(answers.ok());
   // Expect the tuned domain to land within a loose factor of the target.
   EXPECT_GT(answers->NumRows(), 2u);
